@@ -15,15 +15,16 @@ GO ?= go
 # structures.
 RACE_PKGS := ./internal/lock/... ./internal/network/... ./internal/queue/... ./internal/wal/... ./internal/core/... ./internal/replica/... ./internal/metrics/... ./internal/analysis/... ./internal/seqrep/... ./internal/ordup/...
 
-.PHONY: all build test race vet esrvet esrvet-baseline esrvet-self check bench bench-apply bench-net bench-fault bench-shard bench-read node smoke-node smoke-chaos fuzz clean
+.PHONY: all build test race vet esrvet esrvet-baseline esrvet-self check bench bench-compare node smoke-node smoke-chaos fuzz clean
 
 all: build
 
 build:
 	$(GO) build ./...
 
+# A parked read gate fails in two minutes, not the ten-minute default.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 120s ./...
 
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -52,30 +53,13 @@ esrvet-self:
 
 check: build vet esrvet esrvet-self test race
 
-# Regenerate the benchmark baselines CI uploads on every run:
-#   E15 — group-commit pipeline throughput and fsync counts vs batch
-#         size (BENCH_pipeline.json);
-#   E16 — observability overhead, instrumented vs nil registry
-#         (BENCH_observe.json), failing when the cross-method mean
-#         exceeds MAX_OVERHEAD percent;
-#   E17 — parallel apply speedup vs workers (BENCH_apply.json), failing
-#         when the commuting workload's mean speedup at 8 workers falls
-#         below min(MIN_SPEEDUP, 0.75*GOMAXPROCS) or the conflicting
-#         workload regresses more than MAX_SLOWDOWN percent.
-# BENCH_FULL=1 uses full-scale workloads.
-BENCH_OUT ?= BENCH_pipeline.json
-OBSERVE_OUT ?= BENCH_observe.json
-APPLY_OUT ?= BENCH_apply.json
-MAX_OVERHEAD ?= 10
-MIN_SPEEDUP ?= 1.5
-MAX_SLOWDOWN ?= 5
+# The repository's one benchmark (BENCHMARK.json, benchmark/README.md);
+# `make bench-compare A=old.json B=new.json` compares two result files.
 bench:
-	$(GO) run ./cmd/esrbench -exp E15 $(if $(BENCH_FULL),-full) -out $(BENCH_OUT)
-	$(GO) run ./cmd/esrbench -exp E16 $(if $(BENCH_FULL),-full) -out $(OBSERVE_OUT) -maxoverhead $(MAX_OVERHEAD)
-	$(MAKE) bench-apply
+	bash benchmark/run.sh -seed 1 -out bench-result.json
 
-bench-apply:
-	$(GO) run ./cmd/esrbench -exp E17 $(if $(BENCH_FULL),-full) -out $(APPLY_OUT) -minspeedup $(MIN_SPEEDUP) -maxslowdown $(MAX_SLOWDOWN)
+bench-compare:
+	bash benchmark/run.sh -compare $(A) $(B)
 
 # Multi-process deployment: `make node` builds the per-site server
 # binary; `make smoke-node` runs a 3-process cluster per method over
@@ -92,39 +76,6 @@ smoke-node:
 # the surviving journals, byte-identical dumps required.
 smoke-chaos:
 	CHAOS=1 bash scripts/smoke_node.sh
-
-# E18 — in-memory simulator vs loopback TCP: transport throughput and
-# propagation lag (BENCH_net.json).
-NET_OUT ?= BENCH_net.json
-bench-net:
-	$(GO) run ./cmd/esrbench -exp E18 $(if $(BENCH_FULL),-full) -out $(NET_OUT)
-
-# E19 — replicated vs centralized sequencer: failover downtime and
-# no-fault overhead (BENCH_fault.json), failing when replication costs
-# more than MAX_FAULT_OVERHEAD percent throughput with no faults.
-FAULT_OUT ?= BENCH_fault.json
-MAX_FAULT_OVERHEAD ?= 15
-bench-fault:
-	$(GO) run ./cmd/esrbench -exp E19 $(if $(BENCH_FULL),-full) -out $(FAULT_OUT) -maxoverhead $(MAX_FAULT_OVERHEAD)
-
-# E20 — sharded ordering domains: throughput vs shard count under the
-# zipfian multi-origin workload (BENCH_shard.json), failing when the
-# shards=4 speedup falls below min(MIN_SHARD_SPEEDUP, 0.5*GOMAXPROCS)
-# or any ordering domain's stores diverge.
-SHARD_OUT ?= BENCH_shard.json
-MIN_SHARD_SPEEDUP ?= 2
-bench-shard:
-	$(GO) run ./cmd/esrbench -exp E20 $(if $(BENCH_FULL),-full) -out $(SHARD_OUT) -minspeedup $(MIN_SHARD_SPEEDUP)
-
-# E21 — consistency-level read menu: eventual/bounded/session/strong
-# read throughput and staleness under the shared zipfian write load
-# (BENCH_read.json), failing when the eventual or bounded levels'
-# throughput falls below MIN_READ_SPEEDUP x strong or the bounded
-# level's mean staleness exceeds Δt.
-READ_OUT ?= BENCH_read.json
-MIN_READ_SPEEDUP ?= 5
-bench-read:
-	$(GO) run ./cmd/esrbench -exp E21 $(if $(BENCH_FULL),-full) -out $(READ_OUT) -minspeedup $(MIN_READ_SPEEDUP)
 
 # Short fuzz bursts over the history parser and checkers; the corpus
 # seeds also run as plain tests under `make test`.

@@ -1,8 +1,8 @@
 // Benchmarks mirroring the experiment index in DESIGN.md: one bench
 // family per paper table (T1–T3) and per quantitative experiment
-// (E1–E10).  `go test -bench=. -benchmem` regenerates the performance
-// side of EXPERIMENTS.md; the esrbench binary prints the corresponding
-// tables.
+// (E1–E14), the testing.B view of the tables the esrbench binary
+// prints.  They are for measuring while working; the repository's
+// performance figures come from benchmark/ (bash benchmark/run.sh).
 package esr
 
 import (

@@ -6,53 +6,12 @@
 //	esrbench -table 1      # just the paper's Table 1 (also 2, 3)
 //	esrbench -exp E5       # one experiment by ID
 //	esrbench -list         # list experiments
-//
-// The group-commit pipeline baseline (E15), the observability overhead
-// baseline (E16) and the parallel-apply baseline (E17) can be captured
-// as JSON artifacts for regression tracking:
-//
-//	esrbench -exp E15 -out BENCH_pipeline.json
-//	esrbench -exp E16 -out BENCH_observe.json -maxoverhead 10
-//	esrbench -exp E17 -out BENCH_apply.json -minspeedup 1.5 -maxslowdown 5
-//	esrbench -exp E18 -out BENCH_net.json
-//	esrbench -exp E19 -out BENCH_fault.json -maxoverhead 15
-//	esrbench -exp E20 -out BENCH_shard.json -minspeedup 2
-//	esrbench -exp E21 -out BENCH_read.json -minspeedup 5
-//
-// -maxoverhead fails the run when the measured overhead exceeds the
-// given percentage: with -exp E16 the cross-method mean of instrumented
-// vs nil-registry throughput (the metrics layer's CI gate), with -exp
-// E19 the replicated-vs-centralized sequencer throughput cost (the
-// fault-tolerance CI gate, a median of paired trials).
-//
-// -minspeedup fails the run when E17's cross-method mean speedup at the
-// largest worker count on the commuting workload falls short.  The
-// requirement scales with the machine: the effective floor is
-// min(minspeedup, 0.75 x GOMAXPROCS), so a single-core CI runner (which
-// physically cannot show parallel speedup) only gates against parallel
-// overhead.  -maxslowdown fails the run when the conflicting workload's
-// mean at the largest worker count runs more than the given percentage
-// slower than serial.
-//
-// With -exp E20, -minspeedup gates the sharding sweep instead: the
-// shards=4 throughput over shards=1 must reach min(minspeedup,
-// 0.5 x GOMAXPROCS), and every row must pass the per-shard
-// byte-identical convergence check regardless of the speedup flag.
-//
-// With -exp E21, -minspeedup gates the consistency-level read menu: the
-// eventual AND bounded levels' read throughput over the strong level's
-// must each reach the floor (the waits the menu trades away are
-// latency-bound, not core-bound, so no GOMAXPROCS scaling applies), and
-// the bounded level's mean observed staleness must stay within Δt
-// regardless of the speedup flag.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"esr/internal/sim"
@@ -63,32 +22,12 @@ func main() {
 		all    = flag.Bool("all", false, "run every table and experiment")
 		full   = flag.Bool("full", false, "full-scale workloads (default is quick)")
 		table  = flag.Int("table", 0, "print paper table N (1, 2 or 3)")
-		exp    = flag.String("exp", "", "run one experiment by ID (T1–T3, E1–E10)")
+		exp    = flag.String("exp", "", "run one experiment by ID (T1–T3, E1–E14)")
 		list   = flag.Bool("list", false, "list available experiments")
 		asJSON = flag.Bool("json", false, "emit results as JSON instead of text tables")
-		out    = flag.String("out", "", "with -exp E15, E16, E17, E18, E19, E20 or E21: also write the baseline JSON to this file")
-		maxOvh = flag.Float64("maxoverhead", 0, "with -exp E16 or E19: fail when the measured overhead exceeds this percentage (0 disables)")
-		minSpd = flag.Float64("minspeedup", 0, "with -exp E17: fail when the commuting workload's mean speedup at the largest worker count is below min(this, 0.75*GOMAXPROCS); with -exp E20: fail when the shards=4 speedup is below min(this, 0.5*GOMAXPROCS); with -exp E21: fail when the eventual or bounded read throughput over strong is below this (0 disables)")
-		maxSlw = flag.Float64("maxslowdown", 0, "with -exp E17: fail when the conflicting workload's mean at the largest worker count is more than this percentage slower than serial (0 disables)")
 	)
 	flag.Parse()
 	jsonOut = *asJSON
-	baselineOut = *out
-	maxOverhead = *maxOvh
-	minSpeedup = *minSpd
-	maxSlowdown = *maxSlw
-	if baselineOut != "" && *exp != "E15" && *exp != "E16" && *exp != "E17" && *exp != "E18" && *exp != "E19" && *exp != "E20" && *exp != "E21" {
-		fatal(fmt.Errorf("-out records the E15, E16, E17, E18, E19, E20 or E21 baseline; use it with that -exp"))
-	}
-	if maxOverhead > 0 && *exp != "E16" && *exp != "E19" {
-		fatal(fmt.Errorf("-maxoverhead gates the E16 or E19 overhead; use it with that -exp"))
-	}
-	if minSpeedup > 0 && *exp != "E17" && *exp != "E20" && *exp != "E21" {
-		fatal(fmt.Errorf("-minspeedup gates the E17 apply, E20 sharding or E21 read speedup; use it with that -exp"))
-	}
-	if maxSlowdown > 0 && *exp != "E17" {
-		fatal(fmt.Errorf("-maxslowdown gates the E17 apply speedup; use it with -exp E17"))
-	}
 
 	switch {
 	case *list:
@@ -144,428 +83,6 @@ func run(ex sim.Experiment, quick bool) error {
 	fmt.Printf("    claim under test: %s\n\n", ex.Claim)
 	tab.Render(os.Stdout)
 	fmt.Printf("\n    (%s in %v)\n\n", ex.ID, time.Since(start).Round(time.Millisecond))
-	if baselineOut != "" && ex.ID == "E15" {
-		if err := writeBaseline(baselineOut, quick); err != nil {
-			return fmt.Errorf("%s: baseline: %w", ex.ID, err)
-		}
-	}
-	if ex.ID == "E16" && (baselineOut != "" || maxOverhead > 0) {
-		if err := observeGate(baselineOut, quick, maxOverhead); err != nil {
-			return fmt.Errorf("%s: %w", ex.ID, err)
-		}
-	}
-	if ex.ID == "E17" && (baselineOut != "" || minSpeedup > 0 || maxSlowdown > 0) {
-		if err := applyGate(baselineOut, quick, minSpeedup, maxSlowdown); err != nil {
-			return fmt.Errorf("%s: %w", ex.ID, err)
-		}
-	}
-	if ex.ID == "E18" && baselineOut != "" {
-		if err := writeNetBaseline(baselineOut, quick); err != nil {
-			return fmt.Errorf("%s: baseline: %w", ex.ID, err)
-		}
-	}
-	if ex.ID == "E19" && (baselineOut != "" || maxOverhead > 0) {
-		if err := faultGate(baselineOut, quick, maxOverhead); err != nil {
-			return fmt.Errorf("%s: %w", ex.ID, err)
-		}
-	}
-	if ex.ID == "E20" && (baselineOut != "" || minSpeedup > 0) {
-		if err := shardGate(baselineOut, quick, minSpeedup); err != nil {
-			return fmt.Errorf("%s: %w", ex.ID, err)
-		}
-	}
-	if ex.ID == "E21" && (baselineOut != "" || minSpeedup > 0) {
-		if err := readGate(baselineOut, quick, minSpeedup); err != nil {
-			return fmt.Errorf("%s: %w", ex.ID, err)
-		}
-	}
-	return nil
-}
-
-var (
-	baselineOut string
-	maxOverhead float64
-	minSpeedup  float64
-	maxSlowdown float64
-)
-
-// pipelineBaseline is the BENCH_pipeline.json schema: the raw
-// file-queue pipeline sweep with its batch-32-vs-1 ratios, plus the
-// per-method durable-cluster rows.
-type pipelineBaseline struct {
-	Experiment string             `json:"experiment"`
-	Full       bool               `json:"full"`
-	FileQueue  []sim.E15QueueRow  `json:"file_queue"`
-	SpeedupX   float64            `json:"msgs_per_sec_speedup_batch32_vs_1"`
-	FsyncX     float64            `json:"fsync_reduction_batch32_vs_1"`
-	Methods    []sim.E15MethodRow `json:"methods"`
-}
-
-// writeBaseline measures the E15 pipeline directly (not from the
-// rendered table) and records it as JSON.
-func writeBaseline(path string, quick bool) error {
-	msgs, updates := sim.E15Sizes(quick)
-	b := pipelineBaseline{Experiment: "E15", Full: !quick}
-	for _, batch := range sim.E15BatchSizes {
-		row, err := sim.E15QueuePipeline(batch, msgs)
-		if err != nil {
-			return fmt.Errorf("queue batch=%d: %w", batch, err)
-		}
-		b.FileQueue = append(b.FileQueue, row)
-	}
-	first, last := b.FileQueue[0], b.FileQueue[len(b.FileQueue)-1]
-	b.SpeedupX = last.MsgsPerSec / first.MsgsPerSec
-	if last.Fsyncs > 0 {
-		b.FsyncX = float64(first.Fsyncs) / float64(last.Fsyncs)
-	}
-	for _, kind := range sim.AllMethods {
-		for _, batch := range []int{1, 32} {
-			row, err := sim.E15MethodBurst(kind, batch, updates)
-			if err != nil {
-				return err
-			}
-			b.Methods = append(b.Methods, row)
-		}
-	}
-	enc, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "esrbench: wrote %s (batch32 vs 1: %.1fx msgs/sec, %.1fx fewer fsyncs)\n",
-		path, b.SpeedupX, b.FsyncX)
-	return nil
-}
-
-// observeBaseline is the BENCH_observe.json schema: per-method
-// instrumented-vs-nil measurements plus the cross-method mean the CI
-// gate tests.
-type observeBaseline struct {
-	Experiment          string       `json:"experiment"`
-	Full                bool         `json:"full"`
-	Methods             []sim.E16Row `json:"methods"`
-	MeanOverheadPercent float64      `json:"mean_overhead_percent"`
-}
-
-// observeGate re-measures the E16 overhead, optionally records it as
-// JSON, and fails when the cross-method mean exceeds maxPct.
-func observeGate(path string, quick bool, maxPct float64) error {
-	b := observeBaseline{Experiment: "E16", Full: !quick}
-	for _, kind := range sim.AllMethods {
-		row, err := sim.E16Overhead(kind, sim.E16Updates(quick))
-		if err != nil {
-			return err
-		}
-		b.Methods = append(b.Methods, row)
-	}
-	b.MeanOverheadPercent = sim.E16MeanOverhead(b.Methods)
-	if path != "" {
-		enc, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "esrbench: wrote %s (mean overhead %+.1f%%)\n",
-			path, b.MeanOverheadPercent)
-	}
-	if maxPct > 0 && b.MeanOverheadPercent > maxPct {
-		return fmt.Errorf("mean instrumentation overhead %+.1f%% exceeds the -maxoverhead %.0f%% gate",
-			b.MeanOverheadPercent, maxPct)
-	}
-	return nil
-}
-
-// applyBaseline is the BENCH_apply.json schema: the full E17 sweep
-// plus the two cross-method means the CI gates test, and the effective
-// speedup requirement after scaling to this machine's GOMAXPROCS.
-type applyBaseline struct {
-	Experiment             string       `json:"experiment"`
-	Full                   bool         `json:"full"`
-	GOMAXPROCS             int          `json:"gomaxprocs"`
-	Rows                   []sim.E17Row `json:"rows"`
-	CommutingMeanSpeedup   float64      `json:"commuting_mean_speedup_at_max_workers"`
-	ConflictingMeanSpeedup float64      `json:"conflicting_mean_speedup_at_max_workers"`
-	RequiredSpeedup        float64      `json:"required_speedup"`
-}
-
-// applyGate re-measures the E17 parallel-apply sweep, optionally
-// records it as JSON, and enforces the two CI gates: the commuting
-// workload must reach the (GOMAXPROCS-scaled) speedup floor at the
-// largest worker count, and the conflicting workload must not regress
-// past maxSlw percent there.
-func applyGate(path string, quick bool, minSpd, maxSlw float64) error {
-	rows, err := sim.E17Sweep(quick)
-	if err != nil {
-		return err
-	}
-	maxWorkers := sim.E17Workers[len(sim.E17Workers)-1]
-	b := applyBaseline{
-		Experiment:             "E17",
-		Full:                   !quick,
-		GOMAXPROCS:             runtime.GOMAXPROCS(0),
-		Rows:                   rows,
-		CommutingMeanSpeedup:   sim.E17MeanSpeedup(rows, "commuting", maxWorkers),
-		ConflictingMeanSpeedup: sim.E17MeanSpeedup(rows, "conflicting", maxWorkers),
-	}
-	// A machine with P schedulable cores cannot show a P-fold speedup;
-	// require min(minSpd, 0.75*P) so the gate measures the scheduler,
-	// not the CI runner's core count.
-	b.RequiredSpeedup = minSpd
-	if cap := 0.75 * float64(b.GOMAXPROCS); cap < b.RequiredSpeedup {
-		b.RequiredSpeedup = cap
-	}
-	if path != "" {
-		enc, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "esrbench: wrote %s (commuting %.2fx, conflicting %.2fx at %d workers)\n",
-			path, b.CommutingMeanSpeedup, b.ConflictingMeanSpeedup, maxWorkers)
-	}
-	if minSpd > 0 && b.CommutingMeanSpeedup < b.RequiredSpeedup {
-		return fmt.Errorf("commuting mean speedup %.2fx at %d workers below the -minspeedup gate (%.2fx after GOMAXPROCS=%d scaling)",
-			b.CommutingMeanSpeedup, maxWorkers, b.RequiredSpeedup, b.GOMAXPROCS)
-	}
-	if maxSlw > 0 {
-		slowdown := (1 - b.ConflictingMeanSpeedup) * 100
-		if slowdown > maxSlw {
-			return fmt.Errorf("conflicting mean at %d workers runs %.1f%% slower than serial, past the -maxslowdown %.0f%% gate",
-				maxWorkers, slowdown, maxSlw)
-		}
-	}
-	return nil
-}
-
-// netBaseline is the BENCH_net.json schema: the raw transport ×
-// pattern sweep plus the ratio the batched pipeline is expected to
-// recover — loopback-TCP batch throughput over loopback-TCP single-send
-// throughput.
-type netBaseline struct {
-	Experiment string       `json:"experiment"`
-	Full       bool         `json:"full"`
-	Rows       []sim.E18Row `json:"rows"`
-	// TCPBatchSpeedupX is TCP batched msgs/sec over TCP single-send
-	// msgs/sec: how much of the serialization + syscall cost the
-	// SendBatch framing amortizes away.
-	TCPBatchSpeedupX float64 `json:"tcp_batch_speedup_x"`
-	// SimOverTCPBatchX is simulator batched throughput over TCP batched
-	// throughput: the remaining in-memory vs loopback-socket gap in the
-	// regime the asynchronous methods actually run in.
-	SimOverTCPBatchX float64 `json:"sim_over_tcp_batch_x"`
-}
-
-// writeNetBaseline re-measures the E18 transport sweep and records it
-// as JSON.
-func writeNetBaseline(path string, quick bool) error {
-	rows, err := sim.E18Sweep(quick)
-	if err != nil {
-		return err
-	}
-	b := netBaseline{Experiment: "E18", Full: !quick, Rows: rows}
-	rate := func(transport, pattern string) float64 {
-		for _, r := range rows {
-			if r.Transport == transport && r.Pattern == pattern {
-				return r.MsgsPerSec
-			}
-		}
-		return 0
-	}
-	if s := rate("tcp", "send"); s > 0 {
-		b.TCPBatchSpeedupX = rate("tcp", "batch") / s
-	}
-	if s := rate("tcp", "batch"); s > 0 {
-		b.SimOverTCPBatchX = rate("sim", "batch") / s
-	}
-	enc, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "esrbench: wrote %s (TCP batch vs send: %.1fx; sim vs TCP batched: %.1fx)\n",
-		path, b.TCPBatchSpeedupX, b.SimOverTCPBatchX)
-	return nil
-}
-
-// faultBaseline is the BENCH_fault.json schema: the sequencer
-// deployment-mode rows plus the two numbers the CI gate and the
-// availability story rest on — no-fault replication overhead and
-// failover downtime.
-type faultBaseline struct {
-	Experiment string       `json:"experiment"`
-	Full       bool         `json:"full"`
-	Rows       []sim.E19Row `json:"rows"`
-	// ReplicationOverheadPercent is the no-fault throughput cost of the
-	// replicated order service vs the centralized one (median of paired
-	// trials).
-	ReplicationOverheadPercent float64 `json:"replication_overhead_percent"`
-	FailoverP50Millis          float64 `json:"failover_p50_millis"`
-	FailoverP99Millis          float64 `json:"failover_p99_millis"`
-}
-
-// faultGate re-measures the E19 sweep, optionally records it as JSON,
-// and fails when replication's no-fault overhead exceeds maxPct.
-func faultGate(path string, quick bool, maxPct float64) error {
-	rows, err := sim.E19Sweep(quick)
-	if err != nil {
-		return err
-	}
-	b := faultBaseline{
-		Experiment:                 "E19",
-		Full:                       !quick,
-		Rows:                       rows,
-		ReplicationOverheadPercent: 100 * sim.E19Overhead(rows),
-	}
-	for _, r := range rows {
-		if r.Failovers > 0 {
-			b.FailoverP50Millis = r.FailoverP50Millis
-			b.FailoverP99Millis = r.FailoverP99Millis
-		}
-	}
-	if path != "" {
-		enc, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "esrbench: wrote %s (replication overhead %+.1f%%, failover p50 %.1fms p99 %.1fms)\n",
-			path, b.ReplicationOverheadPercent, b.FailoverP50Millis, b.FailoverP99Millis)
-	}
-	if maxPct > 0 && b.ReplicationOverheadPercent > maxPct {
-		return fmt.Errorf("replicated sequencer costs %+.1f%% no-fault throughput, past the -maxoverhead %.0f%% gate",
-			b.ReplicationOverheadPercent, maxPct)
-	}
-	return nil
-}
-
-// shardBaseline is the BENCH_shard.json schema: the shard-count sweep
-// plus the statistic the CI gate tests — shards=4 throughput over
-// shards=1, with the effective requirement after GOMAXPROCS scaling —
-// and the sweep-wide per-shard convergence verdict.
-type shardBaseline struct {
-	Experiment      string       `json:"experiment"`
-	Full            bool         `json:"full"`
-	GOMAXPROCS      int          `json:"gomaxprocs"`
-	Rows            []sim.E20Row `json:"rows"`
-	SpeedupAt4      float64      `json:"speedup_at_4_shards"`
-	RequiredSpeedup float64      `json:"required_speedup"`
-	Converged       bool         `json:"converged"`
-}
-
-// shardGate re-measures the E20 sharding sweep, optionally records it
-// as JSON, and enforces the CI gates: per-shard stores byte-identical
-// in every trial, and the shards=4 speedup at or above the
-// (GOMAXPROCS-scaled) floor.
-func shardGate(path string, quick bool, minSpd float64) error {
-	rows, err := sim.E20Sweep(quick)
-	if err != nil {
-		return err
-	}
-	b := shardBaseline{
-		Experiment: "E20",
-		Full:       !quick,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Rows:       rows,
-		SpeedupAt4: sim.E20SpeedupAt(rows, 4),
-		Converged:  sim.E20Converged(rows),
-	}
-	// A machine with P schedulable cores cannot fan the per-shard
-	// pipelines out across cores it does not have; require
-	// min(minSpd, 0.5*P) so a single-core runner only gates against
-	// sharding overhead.
-	b.RequiredSpeedup = minSpd
-	if cap := 0.5 * float64(b.GOMAXPROCS); cap < b.RequiredSpeedup {
-		b.RequiredSpeedup = cap
-	}
-	if path != "" {
-		enc, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "esrbench: wrote %s (shards=4 speedup %.2fx, converged %t)\n",
-			path, b.SpeedupAt4, b.Converged)
-	}
-	if !b.Converged {
-		return fmt.Errorf("per-shard stores diverged during the sweep")
-	}
-	if minSpd > 0 && b.SpeedupAt4 < b.RequiredSpeedup {
-		return fmt.Errorf("shards=4 speedup %.2fx below the -minspeedup gate (%.2fx after GOMAXPROCS=%d scaling)",
-			b.SpeedupAt4, b.RequiredSpeedup, b.GOMAXPROCS)
-	}
-	return nil
-}
-
-// readBaseline is the BENCH_read.json schema: the consistency-level
-// sweep plus the statistics the CI gate tests — the eventual and
-// bounded levels' read throughput over strong, and whether the bounded
-// level's mean observed staleness stayed within Δt.
-type readBaseline struct {
-	Experiment      string       `json:"experiment"`
-	Full            bool         `json:"full"`
-	GOMAXPROCS      int          `json:"gomaxprocs"`
-	Rows            []sim.E21Row `json:"rows"`
-	EventualSpeedup float64      `json:"eventual_speedup_vs_strong"`
-	BoundedSpeedup  float64      `json:"bounded_speedup_vs_strong"`
-	BoundedWithinDt bool         `json:"bounded_within_dt"`
-	RequiredSpeedup float64      `json:"required_speedup"`
-}
-
-// readGate re-measures the E21 consistency-level sweep, optionally
-// records it as JSON, and enforces the CI gates: bounded staleness
-// within Δt in every case, and the eventual and bounded read throughput
-// each at or above the floor over strong.  The strong level's cost is
-// waiting out accepted-but-unapplied updates — latency-bound, not
-// core-bound — so the floor is not GOMAXPROCS-scaled.
-func readGate(path string, quick bool, minSpd float64) error {
-	rows, err := sim.E21Sweep(quick)
-	if err != nil {
-		return err
-	}
-	b := readBaseline{
-		Experiment:      "E21",
-		Full:            !quick,
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		Rows:            rows,
-		EventualSpeedup: sim.E21SpeedupOf(rows, "eventual"),
-		BoundedSpeedup:  sim.E21SpeedupOf(rows, "bounded"),
-		BoundedWithinDt: sim.E21BoundedWithinDt(rows),
-		RequiredSpeedup: minSpd,
-	}
-	if path != "" {
-		enc, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "esrbench: wrote %s (eventual %.1fx, bounded %.1fx vs strong; bounded within Δt %t)\n",
-			path, b.EventualSpeedup, b.BoundedSpeedup, b.BoundedWithinDt)
-	}
-	if !b.BoundedWithinDt {
-		return fmt.Errorf("bounded level's mean staleness exceeded Δt=%v", sim.E21MaxStaleness)
-	}
-	if minSpd > 0 {
-		if b.EventualSpeedup < minSpd {
-			return fmt.Errorf("eventual read throughput %.2fx strong, below the -minspeedup %.1fx gate", b.EventualSpeedup, minSpd)
-		}
-		if b.BoundedSpeedup < minSpd {
-			return fmt.Errorf("bounded read throughput %.2fx strong, below the -minspeedup %.1fx gate", b.BoundedSpeedup, minSpd)
-		}
-	}
 	return nil
 }
 

@@ -206,10 +206,6 @@ type Config struct {
 	// concurrently by up to this many workers.  Zero means GOMAXPROCS;
 	// 1 forces serial apply.
 	ApplyWorkers int
-	// LockStripes overrides the per-replica lock-table stripe count.
-	// Zero keeps the default (16); 1 restores a single global lock
-	// table.
-	LockStripes int
 	// Consistency is the default level Read serves when the caller does
 	// not pick one: "strong", "bounded", "session" or "eventual" (the
 	// default).
@@ -276,7 +272,6 @@ func Open(cfg Config) (*Cluster, error) {
 		Trace:          cfg.TraceCapacity,
 		Metrics:        reg,
 		ApplyWorkers:   cfg.ApplyWorkers,
-		LockStripes:    cfg.LockStripes,
 		NumShards:      cfg.Shards,
 	})
 	if err != nil {

@@ -152,35 +152,11 @@ func (e *Engine) Cluster() *core.Cluster { return e.c }
 // belong to a commutative family consistent with its object's history;
 // otherwise ErrNotCommutative is returned and nothing is applied.
 func (e *Engine) Update(origin clock.SiteID, ops []op.Op) (et.ID, error) {
-	s := e.c.Site(origin)
-	if s == nil {
-		return 0, fmt.Errorf("commu: unknown site %v", origin)
-	}
-	updates := make([]op.Op, 0, len(ops))
-	for _, o := range ops {
-		if o.Kind.IsUpdate() {
-			updates = append(updates, o)
-		}
-	}
-	if len(updates) == 0 {
-		return 0, ErrNotUpdate
-	}
-	if err := e.reserveFamilies(updates); err != nil {
+	ids, err := e.UpdateBurst(origin, [][]op.Op{ops})
+	if err != nil {
 		return 0, err
 	}
-	if e.cfg.CounterLimit > 0 {
-		if err := e.throttle(updates); err != nil {
-			return 0, err
-		}
-	}
-	id := e.c.NextET(origin)
-	e.trackFlight(id, updates)
-	m := et.MSet{ET: id, Origin: origin, TS: s.Clock.Tick(), Ops: updates}
-	e.c.RecordUpdate(id, ops)
-	if err := e.c.Broadcast(m); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return ids[0], nil
 }
 
 // UpdateBurst executes a burst of update ETs at origin as one propagation

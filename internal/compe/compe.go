@@ -259,6 +259,10 @@ func (e *Engine) BeginBurst(origin clock.SiteID, bursts [][]op.Op) ([]et.ID, err
 		}
 		allUpdates[i] = updates
 	}
+	// In General mode forward MSets do not commute, so sites must apply
+	// them in one global order or the replicas would diverge regardless
+	// of compensation — §4.2 pairs full-log rollback with ORDUP-style
+	// processing ("This is the case with ORDUP operations").
 	var seq0 uint64
 	var seqT0 time.Time
 	if e.cfg.Mode == General {
@@ -298,51 +302,11 @@ func (e *Engine) BeginBurst(origin clock.SiteID, bursts [][]op.Op) ([]et.ID, err
 // applies optimistically at every site, while its lock-counters stay held
 // until Commit or Abort resolves it.
 func (e *Engine) Begin(origin clock.SiteID, ops []op.Op) (et.ID, error) {
-	s := e.c.Site(origin)
-	if s == nil {
-		return 0, fmt.Errorf("compe: unknown site %v", origin)
-	}
-	var updates []op.Op
-	for _, o := range ops {
-		if !o.Kind.IsUpdate() {
-			continue
-		}
-		if err := e.admissible(o); err != nil {
-			return 0, err
-		}
-		updates = append(updates, o)
-	}
-	if len(updates) == 0 {
-		return 0, ErrNotUpdate
-	}
-	if e.cfg.Mode == Commutative {
-		if err := e.reserveFamilies(updates); err != nil {
-			return 0, err
-		}
-	}
-	// In General mode forward MSets do not commute, so sites must apply
-	// them in one global order or the replicas would diverge regardless
-	// of compensation — §4.2 pairs full-log rollback with ORDUP-style
-	// processing ("This is the case with ORDUP operations").
-	var seq uint64
-	if e.cfg.Mode == General {
-		var err error
-		seq, err = e.c.NextSeq(origin)
-		if err != nil {
-			return 0, err
-		}
-	}
-	id := e.c.NextET(origin)
-	e.mu.Lock()
-	e.status[id] = tentative
-	e.ops[id] = updates
-	e.mu.Unlock()
-	m := et.MSet{ET: id, Origin: origin, Seq: seq, TS: s.Clock.Tick(), Ops: updates}
-	e.c.RecordUpdate(id, ops)
-	if err := e.c.Broadcast(m); err != nil {
+	ids, err := e.BeginBurst(origin, [][]op.Op{ops})
+	if err != nil {
 		return 0, err
 	}
-	return id, nil
+	return ids[0], nil
 }
 
 // reserveFamilies pins each object to one commutative operation kind

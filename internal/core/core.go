@@ -146,10 +146,6 @@ type Config struct {
 	// dispatches up to this many concurrently.  Zero means GOMAXPROCS;
 	// 1 forces the serial inline path.
 	ApplyWorkers int
-	// LockStripes is the number of lock-table stripes per site's lock
-	// manager.  Zero means lock.DefaultStripes; 1 restores a single
-	// global lock table.
-	LockStripes int
 	// SeqReplicas, when positive, replaces the single virtual order
 	// server with a replicated sequencer ensemble of that size (see
 	// internal/seqrep): replica i rides with cluster site i on virtual
@@ -238,12 +234,9 @@ type Cluster struct {
 }
 
 // configureSite applies the cluster's parallel-apply knobs to a freshly
-// built site — the lock-stripe count, the apply worker pool size, and
-// the lock manager's instruments.  Shared by New and RestartSite.
+// built site — the apply worker pool size and the lock manager's
+// instruments.  Shared by New and RestartSite.
 func (c *Cluster) configureSite(site *replica.Site) {
-	if c.cfg.LockStripes != 0 {
-		site.Locks = lock.NewManagerStripes(c.cfg.LockTable, c.cfg.LockStripes)
-	}
 	site.SetApplyWorkers(c.cfg.ApplyWorkers)
 	site.Locks.SetMetrics(c.met.lockMetrics(site.ID))
 }

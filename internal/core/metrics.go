@@ -2,7 +2,8 @@
 // every family the pipeline exports and resolves each component's
 // registry children up front (Vec.With allocates; the hot paths must
 // not).  With no registry configured every instrument below is nil and
-// every update is a no-op — see Experiment E16 for the overhead bound.
+// every update is a no-op — the benchmark's trace.overhead_pct prices
+// the instrumented side.
 
 package core
 

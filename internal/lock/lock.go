@@ -250,19 +250,9 @@ func (m *Manager) SetMetrics(mm Metrics) {
 // NewManager returns a Manager using the given compatibility table and
 // DefaultStripes lock-table stripes.
 func NewManager(table Table) *Manager {
-	return NewManagerStripes(table, DefaultStripes)
-}
-
-// NewManagerStripes returns a Manager with an explicit stripe count
-// (values below 1 are treated as 1, which restores a single global
-// lock table).
-func NewManagerStripes(table Table, n int) *Manager {
-	if n < 1 {
-		n = 1
-	}
 	m := &Manager{
 		table:   table,
-		stripes: make([]*stripe, n),
+		stripes: make([]*stripe, DefaultStripes),
 		byTx:    make(map[TxID][]string),
 		waits:   make(map[TxID]map[TxID]bool),
 	}
@@ -279,9 +269,6 @@ func NewManagerStripes(table Table, n int) *Manager {
 
 // Table returns the manager's compatibility table.
 func (m *Manager) Table() Table { return m.table }
-
-// Stripes returns the stripe count.
-func (m *Manager) Stripes() int { return len(m.stripes) }
 
 // stripeFor maps an object name to its stripe (fnv-1a, allocation free).
 func (m *Manager) stripeFor(object string) *stripe {

@@ -8,8 +8,7 @@ import (
 
 // BenchmarkPipeline measures the enqueue→deliver→ack pipeline of the
 // file-backed queue at several batch sizes.  It reports fsyncs/op so the
-// group-commit win is visible next to the throughput number; these are
-// the figures recorded in BENCH_pipeline.json by `make bench`.
+// group-commit win is visible next to the throughput number.
 func BenchmarkPipeline(b *testing.B) {
 	for _, batch := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {

@@ -130,39 +130,11 @@ func (e *Engine) Mode() Mode { return e.cfg.Mode }
 // operations in the ET share one version timestamp, chosen above the
 // current VTNC so already-stable reads are never invalidated.
 func (e *Engine) Update(origin clock.SiteID, ops []op.Op) (et.ID, error) {
-	s := e.c.Site(origin)
-	if s == nil {
-		return 0, fmt.Errorf("ritu: unknown site %v", origin)
-	}
-	var updates []op.Op
-	for _, o := range ops {
-		if !o.Kind.IsUpdate() {
-			continue
-		}
-		if o.Kind != op.Write {
-			return 0, fmt.Errorf("%w: %v", ErrNotReadIndependent, o)
-		}
-		updates = append(updates, o)
-	}
-	if len(updates) == 0 {
-		return 0, ErrNotUpdate
-	}
-	// The new version must land above the VTNC: the Modular
-	// Synchronization property is that "no smaller version can be
-	// created by any active or future transactions".  Choosing the
-	// timestamp and registering the outstanding flight are atomic under
-	// e.mu, or the VTNC could advance past the new timestamp in between.
-	id := e.c.NextET(origin)
-	ts := e.trackAboveVTNC(id, s)
-	for i := range updates {
-		updates[i].TS = ts
-	}
-	m := et.MSet{ET: id, Origin: origin, TS: ts, Ops: updates}
-	e.c.RecordUpdate(id, ops)
-	if err := e.c.Broadcast(m); err != nil {
+	ids, err := e.UpdateBurst(origin, [][]op.Op{ops})
+	if err != nil {
 		return 0, err
 	}
-	return id, nil
+	return ids[0], nil
 }
 
 // UpdateBurst executes a burst of blind-write update ETs at origin as

@@ -63,9 +63,6 @@ type Options struct {
 	// ApplyWorkers sizes each site's apply worker pool (0 means
 	// GOMAXPROCS; 1 forces serial apply).
 	ApplyWorkers int
-	// LockStripes overrides the per-site lock-table stripe count (0
-	// keeps the default; 1 restores a single global lock table).
-	LockStripes int
 	// Transport replaces the default simulated network (e.g. a
 	// network.TCP in a cmd/esrnode process).  The caller owns and
 	// closes it; nil builds a simulator from the net Config.
@@ -97,8 +94,8 @@ func NewEngine(kind EngineKind, sites int, net network.Config, opt Options) (cor
 	cc := core.Config{Sites: sites, Net: net, Dir: opt.QueueDir, Trace: opt.Trace,
 		DeliveryWindow: opt.DeliveryWindow, FlushWindow: opt.FlushWindow,
 		Metrics: opt.Metrics, Method: string(kind),
-		ApplyWorkers: opt.ApplyWorkers, LockStripes: opt.LockStripes,
-		Transport: opt.Transport, LocalSites: opt.LocalSites,
+		ApplyWorkers: opt.ApplyWorkers,
+		Transport:    opt.Transport, LocalSites: opt.LocalSites,
 		SeqReplicas: opt.SeqReplicas}
 	switch kind {
 	case ORDUPSeq:

@@ -3,9 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,18 +10,15 @@ import (
 	"esr/internal/clock"
 	"esr/internal/commu"
 	"esr/internal/compe"
-	"esr/internal/consistency"
 	"esr/internal/core"
 	"esr/internal/divergence"
 	"esr/internal/et"
 	"esr/internal/history"
 	"esr/internal/lock"
 	"esr/internal/merge"
-	"esr/internal/metrics"
 	"esr/internal/network"
 	"esr/internal/op"
 	"esr/internal/ordup"
-	"esr/internal/queue"
 	"esr/internal/ritu"
 	"esr/internal/stopwatch"
 	"esr/internal/tabular"
@@ -34,7 +28,7 @@ import (
 // index in DESIGN.md.
 type Experiment struct {
 	// ID is the experiment identifier (T1–T3 for the paper's literal
-	// tables, E1–E10 for the claim-driven quantitative experiments).
+	// tables, E1–E14 for the claim-driven quantitative experiments).
 	ID string
 	// Title is a one-line description.
 	Title string
@@ -103,27 +97,6 @@ func Experiments() []Experiment {
 		{ID: "E14", Title: "Message loss: stable-queue retry masks unreliable links",
 			Claim: "§2.2: stable queues persistently retry message delivery until successful; replica control is robust to message losses",
 			Run:   runE14},
-		{ID: "E15", Title: "Group-commit pipeline: propagation throughput & fsyncs vs batch size",
-			Claim: "§2.2: asynchronous MSet propagation through stable queues buys throughput synchronous methods give up — realized only when journal appends, delivery, and acks are batched",
-			Run:   runE15},
-		{ID: "E16", Title: "Observability overhead: instrumented vs nil-registry cluster",
-			Claim: "the metrics layer prices every pipeline stage at an atomic add behind a nil-safe indirection, so full instrumentation must not tax the asynchronous propagation it observes",
-			Run:   runE16},
-		{ID: "E17", Title: "Parallel apply: speedup vs workers, commuting vs conflicting workloads",
-			Claim: "§3.2: updates that commute need no mutual ordering — a replica may apply them concurrently; non-commuting updates keep their serial order at no added cost",
-			Run:   runE17},
-		{ID: "E18", Title: "Transport throughput: in-memory simulator vs loopback TCP",
-			Claim: "§2.2: asynchronous propagation tolerates very slow links because MSets travel in batched frames through stable queues — so a real socket transport must keep batched throughput within the same regime as the in-process simulator",
-			Run:   runE18},
-		{ID: "E19", Title: "Sequencer fault tolerance: failover downtime and no-fault overhead",
-			Claim: "§3.1: ordering is easy with a centralized order server — but one server is a single point of failure; replicating it across ensemble members keeps ORDUP ordering available through a leader crash at a bounded no-fault cost",
-			Run:   runE19},
-		{ID: "E20", Title: "Sharded ordering domains: throughput vs shard count under a zipfian workload",
-			Claim: "§3.1: a central order server totally orders all updates — but updates touching disjoint objects need no mutual order; carving the keyspace into independent sequencer domains removes the shared ordering bottleneck while cross-shard ETs keep atomicity through per-shard sequence reservations",
-			Run:   runE20},
-		{ID: "E21", Title: "Consistency-level read menu: throughput and staleness across four levels",
-			Claim: "§3.3: queries that tolerate bounded inconsistency avoid the synchronization strong reads pay — under a write-heavy zipfian load, eventual and bounded snapshot reads sustain multiples of strong-read throughput while the SAFETIME gate keeps bounded staleness within Δt",
-			Run:   runE21},
 	}
 }
 
@@ -986,1526 +959,6 @@ func runE14(quick bool) (*tabular.Table, error) {
 		eng.Close()
 		t.AddRowf(fmt.Sprintf("%.0f%%", loss*100), updates, exact, lost,
 			convergeIn.Round(100*time.Microsecond))
-	}
-	return t, nil
-}
-
-// --- E15 ---
-
-// E15BatchSizes are the pipeline batch sizes the experiment sweeps.
-var E15BatchSizes = []int{1, 8, 32}
-
-// E15QueueRow is one raw file-queue pipeline measurement, exported so
-// cmd/esrbench can record the BENCH_pipeline.json baseline.
-type E15QueueRow struct {
-	Batch        int     `json:"batch"`
-	Messages     int     `json:"messages"`
-	MsgsPerSec   float64 `json:"msgs_per_sec"`
-	Fsyncs       uint64  `json:"fsyncs"`
-	FsyncsPerMsg float64 `json:"fsyncs_per_msg"`
-}
-
-// E15QueuePipeline drives the enqueue→deliver→ack hot path of a
-// file-backed stable queue at the given batch size and reports
-// throughput and fsync cost.  This is the microbenchmark behind the
-// group-commit claim: batch 32 must beat batch 1 by ≥5x on msgs/sec and
-// ≥10x on fsyncs.
-func E15QueuePipeline(batch, msgs int) (E15QueueRow, error) {
-	dir, err := os.MkdirTemp("", "e15-queue")
-	if err != nil {
-		return E15QueueRow{}, err
-	}
-	defer os.RemoveAll(dir)
-	q, err := queue.Open(filepath.Join(dir, "q.journal"))
-	if err != nil {
-		return E15QueueRow{}, err
-	}
-	defer q.Close()
-	payload := []byte("0123456789abcdef0123456789abcdef")
-	sw := stopwatch.Start()
-	var id uint64
-	for done := 0; done < msgs; done += batch {
-		n := batch
-		if msgs-done < n {
-			n = msgs - done
-		}
-		in := make([]queue.Message, n)
-		for j := range in {
-			id++
-			in[j] = queue.Message{ID: id, Payload: payload}
-		}
-		if err := q.EnqueueBatch(in); err != nil {
-			return E15QueueRow{}, err
-		}
-		got, err := q.PeekN(n)
-		if err != nil {
-			return E15QueueRow{}, err
-		}
-		ids := make([]uint64, len(got))
-		for j, m := range got {
-			ids[j] = m.ID
-		}
-		if err := q.AckBatch(ids); err != nil {
-			return E15QueueRow{}, err
-		}
-	}
-	elapsed := sw.Elapsed()
-	syncs := q.Syncs()
-	return E15QueueRow{
-		Batch:        batch,
-		Messages:     msgs,
-		MsgsPerSec:   float64(msgs) / elapsed.Seconds(),
-		Fsyncs:       syncs,
-		FsyncsPerMsg: float64(syncs) / float64(msgs),
-	}, nil
-}
-
-// E15MethodRow is one per-method durable-cluster measurement.
-type E15MethodRow struct {
-	Method     string  `json:"method"`
-	Batch      int     `json:"batch"`
-	Updates    int     `json:"updates"`
-	MsgsPerSec float64 `json:"updates_per_sec"`
-	Fsyncs     uint64  `json:"fsyncs"`
-}
-
-// E15MethodBurst drives a durable 3-site cluster of the given method
-// with commit bursts of the given size (1 = the unbatched baseline) and
-// reports end-to-end throughput to quiescence plus total journal+WAL
-// fsyncs.
-func E15MethodBurst(kind EngineKind, batch, updates int) (E15MethodRow, error) {
-	dir, err := os.MkdirTemp("", "e15-"+string(kind))
-	if err != nil {
-		return E15MethodRow{}, err
-	}
-	defer os.RemoveAll(dir)
-	window := batch
-	if batch == 1 {
-		window = -1 // force single-message delivery for the baseline
-	}
-	eng, err := NewEngine(kind, 3, network.Config{Seed: 23},
-		Options{QueueDir: dir, DeliveryWindow: window})
-	if err != nil {
-		return E15MethodRow{}, err
-	}
-	defer eng.Close()
-	bu, ok := eng.(BurstUpdater)
-	if !ok {
-		return E15MethodRow{}, fmt.Errorf("E15: %s does not support bursts", kind)
-	}
-	build := func(i int) []op.Op { return []op.Op{op.IncOp("x", 1)} }
-	if kind == RITUSV || kind == RITUMV {
-		build = func(i int) []op.Op { return []op.Op{op.WriteOp("x", int64(i))} }
-	}
-	sw := stopwatch.Start()
-	for done := 0; done < updates; done += batch {
-		n := batch
-		if updates-done < n {
-			n = updates - done
-		}
-		burst := make([][]op.Op, n)
-		for j := range burst {
-			burst[j] = build(done + j)
-		}
-		if _, err := bu.UpdateBurst(1, burst); err != nil {
-			return E15MethodRow{}, fmt.Errorf("E15 %s burst: %w", kind, err)
-		}
-	}
-	if err := eng.Cluster().Quiesce(60 * time.Second); err != nil {
-		return E15MethodRow{}, fmt.Errorf("E15 %s: %w", kind, err)
-	}
-	elapsed := sw.Elapsed()
-	return E15MethodRow{
-		Method:     string(kind),
-		Batch:      batch,
-		Updates:    updates,
-		MsgsPerSec: float64(updates) / elapsed.Seconds(),
-		Fsyncs:     eng.Cluster().JournalSyncs(),
-	}, nil
-}
-
-// runE15 measures the group-commit propagation pipeline: first the raw
-// file-backed queue hot path (enqueue→deliver→ack) across batch sizes,
-// then each replica-control method end to end on a durable cluster,
-// unbatched vs burst-batched.  Throughput must rise and fsyncs collapse
-// as the batch grows — the win that makes asynchronous propagation
-// worth its complexity.
-// E15Sizes returns the message and update counts E15 runs at, so
-// cmd/esrbench's baseline writer measures the same workload.
-func E15Sizes(quick bool) (msgs, updates int) {
-	if quick {
-		return 512, 48
-	}
-	return 2048, 192
-}
-
-func runE15(quick bool) (*tabular.Table, error) {
-	msgs, updates := E15Sizes(quick)
-	t := tabular.New("E15: group-commit propagation pipeline (file-backed queues)",
-		"pipeline", "batch", "msgs", "msgs/sec", "fsyncs", "fsyncs/msg")
-	for _, batch := range E15BatchSizes {
-		row, err := E15QueuePipeline(batch, msgs)
-		if err != nil {
-			return nil, fmt.Errorf("E15 queue batch=%d: %w", batch, err)
-		}
-		t.AddRowf("file queue", row.Batch, row.Messages,
-			fmt.Sprintf("%.0f", row.MsgsPerSec), row.Fsyncs,
-			fmt.Sprintf("%.3f", row.FsyncsPerMsg))
-	}
-	for _, kind := range AllMethods {
-		for _, batch := range []int{1, 32} {
-			row, err := E15MethodBurst(kind, batch, updates)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRowf(row.Method, row.Batch, row.Updates,
-				fmt.Sprintf("%.0f", row.MsgsPerSec), row.Fsyncs,
-				fmt.Sprintf("%.3f", float64(row.Fsyncs)/float64(row.Updates)))
-		}
-	}
-	return t, nil
-}
-
-// --- E16 ---
-
-// E16Row is one per-method observability-overhead measurement, exported
-// so cmd/esrbench can record the BENCH_observe.json baseline.  Overhead
-// comes from the median of E16Trials back-to-back pairs, each pair
-// running a fully-instrumented registry against a nil registry (the
-// no-op path) adjacently so machine drift cancels within the pair.
-type E16Row struct {
-	Method            string  `json:"method"`
-	Updates           int     `json:"updates"`
-	BaseUpdatesPerSec float64 `json:"base_updates_per_sec"`
-	InstUpdatesPerSec float64 `json:"instrumented_updates_per_sec"`
-	OverheadPercent   float64 `json:"overhead_percent"`
-	Series            int     `json:"series"`
-	LagP95Seconds     float64 `json:"lag_p95_seconds"`
-}
-
-// E16Trials is how many base/instrumented pairs each method runs.  The
-// workload is scheduler-bound, so comparing each arm's best time across
-// independent runs (the old scheme) still let drift between the arms
-// masquerade as overhead; pairing the arms back to back and taking the
-// median pair's difference — the same discipline E19 applies to its
-// replication tax — cancels drift inside each pair and is robust to
-// the odd outlier pair.
-const E16Trials = 5
-
-// E16Updates returns the update count E16 runs at.
-func E16Updates(quick bool) int {
-	if quick {
-		return 1200
-	}
-	return 6000
-}
-
-// e16Trial drives one 3-site in-memory cluster of the given kind through
-// a mixed update/query workload to quiescence and reports the elapsed
-// time plus the final metrics snapshot (empty when reg is nil).
-func e16Trial(kind EngineKind, updates int, reg *metrics.Registry) (time.Duration, metrics.Snapshot, error) {
-	eng, err := NewEngine(kind, 3, network.Config{Seed: 23}, Options{Metrics: reg})
-	if err != nil {
-		return 0, metrics.Snapshot{}, err
-	}
-	defer eng.Close()
-	build := func(i int) []op.Op { return []op.Op{op.IncOp("x", 1)} }
-	if kind == RITUSV || kind == RITUMV {
-		build = func(i int) []op.Op { return []op.Op{op.WriteOp("x", int64(i))} }
-	}
-	sw := stopwatch.Start()
-	for i := 0; i < updates; i++ {
-		origin := clock.SiteID(i%3 + 1)
-		if _, err := eng.Update(origin, build(i)); err != nil {
-			return 0, metrics.Snapshot{}, fmt.Errorf("E16 %s update: %w", kind, err)
-		}
-		if i%5 == 4 {
-			if _, err := eng.Query(origin, []string{"x"}, divergence.Limit(2)); err != nil {
-				return 0, metrics.Snapshot{}, fmt.Errorf("E16 %s query: %w", kind, err)
-			}
-		}
-	}
-	if err := eng.Cluster().Quiesce(60 * time.Second); err != nil {
-		return 0, metrics.Snapshot{}, fmt.Errorf("E16 %s: %w", kind, err)
-	}
-	return sw.Elapsed(), reg.Snapshot(), nil
-}
-
-// E16Overhead measures the observability tax for one method: each
-// trial runs the two arms back to back (in-pair order swapped every
-// trial — heap growth and GC pacing systematically slow whichever run
-// goes second), computes the pair's relative overhead, and the median
-// pair is what the row reports.
-func E16Overhead(kind EngineKind, updates int) (E16Row, error) {
-	type pair struct {
-		base, inst time.Duration
-		snap       metrics.Snapshot
-	}
-	pairs := make([]pair, 0, E16Trials)
-	for trial := 0; trial < E16Trials; trial++ {
-		var p pair
-		runBase := func() error {
-			d, _, err := e16Trial(kind, updates, nil)
-			p.base = d
-			return err
-		}
-		runInst := func() error {
-			d, s, err := e16Trial(kind, updates, metrics.NewRegistry())
-			p.inst, p.snap = d, s
-			return err
-		}
-		first, second := runBase, runInst
-		if trial%2 == 1 {
-			first, second = runInst, runBase
-		}
-		if err := first(); err != nil {
-			return E16Row{}, err
-		}
-		if err := second(); err != nil {
-			return E16Row{}, err
-		}
-		pairs = append(pairs, p)
-	}
-	overhead := func(p pair) float64 {
-		return (p.inst.Seconds() - p.base.Seconds()) / p.base.Seconds()
-	}
-	sort.Slice(pairs, func(i, j int) bool { return overhead(pairs[i]) < overhead(pairs[j]) })
-	med := pairs[len(pairs)/2]
-	row := E16Row{
-		Method:            string(kind),
-		Updates:           updates,
-		BaseUpdatesPerSec: float64(updates) / med.base.Seconds(),
-		InstUpdatesPerSec: float64(updates) / med.inst.Seconds(),
-		OverheadPercent:   overhead(med) * 100,
-		Series:            med.snap.NumSeries(),
-	}
-	for _, h := range med.snap.Histograms {
-		if h.Name == metrics.LagHistogramName && h.Count > 0 {
-			if p := h.Quantile(0.95); p > row.LagP95Seconds {
-				row.LagP95Seconds = p
-			}
-		}
-	}
-	return row, nil
-}
-
-// E16MeanOverhead is the cross-method mean overhead — the statistic the
-// CI gate tests.  Per-method numbers on short CI runs carry scheduler
-// noise either way; the mean across all four methods is stable.
-func E16MeanOverhead(rows []E16Row) float64 {
-	if len(rows) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, r := range rows {
-		sum += r.OverheadPercent
-	}
-	return sum / float64(len(rows))
-}
-
-// runE16 compares each method's end-to-end throughput with and without
-// the metrics layer.  The tight CI gate lives in cmd/esrbench
-// (-maxoverhead, applied to the cross-method mean); the experiment
-// itself only fails past 25%, where the claim is unambiguously broken
-// rather than noisy.
-func runE16(quick bool) (*tabular.Table, error) {
-	updates := E16Updates(quick)
-	t := tabular.New("E16: observability overhead (instrumented vs nil registry)",
-		"method", "updates", "base/s", "instrumented/s", "overhead", "series", "lag p95")
-	rows := make([]E16Row, 0, len(AllMethods))
-	for _, kind := range AllMethods {
-		row, err := E16Overhead(kind, updates)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-		t.AddRowf(row.Method, row.Updates,
-			fmt.Sprintf("%.0f", row.BaseUpdatesPerSec),
-			fmt.Sprintf("%.0f", row.InstUpdatesPerSec),
-			fmt.Sprintf("%+.1f%%", row.OverheadPercent),
-			row.Series,
-			fmt.Sprintf("%.1fms", row.LagP95Seconds*1e3))
-	}
-	if mean := E16MeanOverhead(rows); mean > 25 {
-		return nil, fmt.Errorf("E16: mean instrumentation overhead %.1f%% exceeds 25%%", mean)
-	}
-	return t, nil
-}
-
-// --- E17 ---
-
-// E17Workers are the apply worker-pool sizes the experiment sweeps.
-var E17Workers = []int{1, 2, 4, 8}
-
-// E17Workloads are the two scheduling regimes E17 drives: "commuting"
-// spreads commutative updates over an object pool (every pair of MSets
-// commutes, so the scheduler may run the whole window concurrently);
-// "conflicting" aims non-commuting updates at one hot object (the
-// window collapses to a single conflict group, which must cost no more
-// than the serial pass).
-var E17Workloads = []string{"commuting", "conflicting"}
-
-// E17Row is one parallel-apply measurement, exported so cmd/esrbench
-// can record the BENCH_apply.json baseline.
-type E17Row struct {
-	Method        string  `json:"method"`
-	Workload      string  `json:"workload"`
-	Workers       int     `json:"workers"`
-	Updates       int     `json:"updates"`
-	UpdatesPerSec float64 `json:"updates_per_sec"`
-	// SpeedupVs1 is this row's throughput over the same method and
-	// workload at workers=1.
-	SpeedupVs1 float64 `json:"speedup_vs_1"`
-}
-
-// E17Trials is how many runs each configuration takes; the best
-// (minimum) time wins, which filters scheduler noise better than means.
-const E17Trials = 3
-
-// E17Updates returns the update count E17 runs at.
-func E17Updates(quick bool) int {
-	if quick {
-		return 960
-	}
-	return 4800
-}
-
-// e17ObjectPool is the commuting workload's object spread: wide enough
-// that conflict groups stay tiny, small enough that stores do not
-// dominate the measurement.
-const e17ObjectPool = 256
-
-// e17Ops builds the i-th update for a method × workload cell, or nil
-// when the method cannot express the workload (COMPE's commutative mode
-// only admits operations that always commute, so no conflicting
-// workload exists for it — that is the point of the mode).
-func e17Ops(kind EngineKind, workload string, i int) []op.Op {
-	if workload == "commuting" {
-		obj := fmt.Sprintf("obj-%03d", i%e17ObjectPool)
-		switch kind {
-		case RITUSV, RITUMV:
-			// Blind writes of the same value: Write/Write pairs commute
-			// exactly when their arguments agree.
-			return []op.Op{op.WriteOp(obj, 1)}
-		default:
-			return []op.Op{op.IncOp(obj, 1)}
-		}
-	}
-	switch kind {
-	case COMMU:
-		// Table 3's only intra-family conflict: UnorderedAppend and
-		// RemoveOne of the same element do not commute.
-		if i%2 == 0 {
-			return []op.Op{op.UAppendOp("hot", "tok")}
-		}
-		return []op.Op{op.RemoveOneOp("hot", "tok")}
-	case COMPE:
-		return nil
-	default:
-		// Distinct blind-write values never commute.
-		return []op.Op{op.WriteOp("hot", int64(i))}
-	}
-}
-
-// e17Trial drives one 3-site in-memory cluster of the given kind with
-// the workload and worker-pool size, in bursts through the group-commit
-// pipeline, and reports the elapsed time to quiescence.
-func e17Trial(kind EngineKind, workload string, workers, updates int) (time.Duration, error) {
-	eng, err := NewEngine(kind, 3, network.Config{Seed: 23},
-		Options{ApplyWorkers: workers})
-	if err != nil {
-		return 0, err
-	}
-	defer eng.Close()
-	bu, ok := eng.(BurstUpdater)
-	if !ok {
-		return 0, fmt.Errorf("E17: %s does not support bursts", kind)
-	}
-	const burst = 32
-	sw := stopwatch.Start()
-	for done := 0; done < updates; done += burst {
-		n := burst
-		if updates-done < n {
-			n = updates - done
-		}
-		b := make([][]op.Op, n)
-		for j := range b {
-			b[j] = e17Ops(kind, workload, done+j)
-		}
-		if _, err := bu.UpdateBurst(1, b); err != nil {
-			return 0, fmt.Errorf("E17 %s %s burst: %w", kind, workload, err)
-		}
-	}
-	if err := eng.Cluster().Quiesce(60 * time.Second); err != nil {
-		return 0, fmt.Errorf("E17 %s %s: %w", kind, workload, err)
-	}
-	return sw.Elapsed(), nil
-}
-
-// E17Measure measures one method × workload × workers cell, best of
-// E17Trials runs.  SpeedupVs1 is left zero; E17Sweep fills it in.
-func E17Measure(kind EngineKind, workload string, workers, updates int) (E17Row, error) {
-	const forever = time.Duration(1<<63 - 1)
-	best := forever
-	for trial := 0; trial < E17Trials; trial++ {
-		d, err := e17Trial(kind, workload, workers, updates)
-		if err != nil {
-			return E17Row{}, err
-		}
-		if d < best {
-			best = d
-		}
-	}
-	return E17Row{
-		Method:        string(kind),
-		Workload:      workload,
-		Workers:       workers,
-		Updates:       updates,
-		UpdatesPerSec: float64(updates) / best.Seconds(),
-	}, nil
-}
-
-// E17Sweep measures every method × workload × workers cell and resolves
-// each row's speedup against its own workers=1 baseline.  Methods that
-// cannot express a workload are skipped.
-func E17Sweep(quick bool) ([]E17Row, error) {
-	updates := E17Updates(quick)
-	var rows []E17Row
-	for _, kind := range AllMethods {
-		for _, workload := range E17Workloads {
-			if e17Ops(kind, workload, 0) == nil {
-				continue
-			}
-			base := -1.0
-			for _, w := range E17Workers {
-				row, err := E17Measure(kind, workload, w, updates)
-				if err != nil {
-					return nil, err
-				}
-				if w == 1 {
-					base = row.UpdatesPerSec
-				}
-				if base > 0 {
-					row.SpeedupVs1 = row.UpdatesPerSec / base
-				}
-				rows = append(rows, row)
-			}
-		}
-	}
-	return rows, nil
-}
-
-// E17MeanSpeedup returns the cross-method mean speedup for a workload
-// at the given worker count — the statistic the CI gate tests (E16's
-// rationale: per-method numbers on short CI runs carry scheduler noise;
-// the mean is stable).
-func E17MeanSpeedup(rows []E17Row, workload string, workers int) float64 {
-	var sum float64
-	var n int
-	for _, r := range rows {
-		if r.Workload == workload && r.Workers == workers {
-			sum += r.SpeedupVs1
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// runE17 sweeps apply-pool sizes against commuting and conflicting
-// workloads for every method.  The tight CI gates live in cmd/esrbench
-// (-minspeedup on the commuting mean, -maxslowdown on the conflicting
-// mean, both scaled to the machine's GOMAXPROCS); the experiment itself
-// only reports.
-func runE17(quick bool) (*tabular.Table, error) {
-	rows, err := E17Sweep(quick)
-	if err != nil {
-		return nil, err
-	}
-	t := tabular.New("E17: parallel apply speedup vs workers",
-		"method", "workload", "workers", "updates", "updates/sec", "speedup")
-	for _, r := range rows {
-		t.AddRowf(r.Method, r.Workload, r.Workers, r.Updates,
-			fmt.Sprintf("%.0f", r.UpdatesPerSec),
-			fmt.Sprintf("%.2fx", r.SpeedupVs1))
-	}
-	return t, nil
-}
-
-// --- E18 ---
-
-// E18Transports are the transport implementations E18 compares: the
-// deterministic in-process simulator every experiment runs on, and the
-// real TCP transport over loopback sockets.
-var E18Transports = []string{"sim", "tcp"}
-
-// E18Patterns are the traffic shapes E18 drives through each transport:
-// single at-least-once messages from concurrent senders (the retry
-// agents' shape), whole SendBatch frames (the group-commit pipeline's
-// shape), and synchronous round trips (the sequencer's and the
-// coherency baselines' shape).
-var E18Patterns = []string{"send", "batch", "call"}
-
-// E18Row is one transport × pattern measurement, exported so
-// cmd/esrbench can record the BENCH_net.json baseline.
-type E18Row struct {
-	Transport string `json:"transport"`
-	Pattern   string `json:"pattern"`
-	// Messages is the number of payloads delivered.
-	Messages int `json:"messages"`
-	// Frames is the number of network transits that carried them.
-	Frames int `json:"frames"`
-	// MsgsPerSec is delivered messages per wall-clock second.
-	MsgsPerSec float64 `json:"msgs_per_sec"`
-	// MBPerSec is delivered payload megabytes per second.
-	MBPerSec float64 `json:"mb_per_sec"`
-	// MeanLatencyMicros is the mean per-transit latency in microseconds
-	// (round trip for "call", one-way implicit-ack for "send").
-	MeanLatencyMicros float64 `json:"mean_latency_micros"`
-}
-
-// e18Payload is the per-message payload size: the ballpark of an
-// encoded single-op MSet.
-const e18Payload = 256
-
-// e18BatchSize is the SendBatch frame size, matching the default
-// delivery window of the group-commit pipeline.
-const e18BatchSize = 32
-
-// e18Senders is the concurrency of the "send" pattern — enough to
-// exercise the TCP transport's write coalescing.
-const e18Senders = 8
-
-// E18Messages returns the per-pattern message count E18 runs at.
-func E18Messages(quick bool) int {
-	if quick {
-		return 4_000
-	}
-	return 40_000
-}
-
-// e18Mesh builds the named transport deployment for two sites and
-// returns the transport to send from, the transport to register site
-// 2's handler on, and a teardown.
-func e18Mesh(name string) (send, recv network.Transport, closeAll func(), err error) {
-	switch name {
-	case "sim":
-		tr, err := network.New(network.Config{Seed: 5})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return tr, tr, func() { tr.Close() }, nil
-	case "tcp":
-		a, err := network.NewTCP(network.TCPOptions{
-			Listen: "127.0.0.1:0", Local: []clock.SiteID{1}, Seed: 5})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		b, err := network.NewTCP(network.TCPOptions{
-			Listen: "127.0.0.1:0", Local: []clock.SiteID{2}, Seed: 6})
-		if err != nil {
-			a.Close()
-			return nil, nil, nil, err
-		}
-		a.AddPeer(2, b.Addr())
-		b.AddPeer(1, a.Addr())
-		return a, b, func() { a.Close(); b.Close() }, nil
-	default:
-		return nil, nil, nil, fmt.Errorf("E18: unknown transport %q", name)
-	}
-}
-
-// e18Measure drives one transport × pattern cell and reports the row.
-func e18Measure(transport, pattern string, messages int) (E18Row, error) {
-	send, recv, closeAll, err := e18Mesh(transport)
-	if err != nil {
-		return E18Row{}, err
-	}
-	defer closeAll()
-	var delivered atomic.Int64
-	recv.Register(2, func(clock.SiteID, []byte) ([]byte, error) {
-		delivered.Add(1)
-		return nil, nil
-	})
-	recv.RegisterBatch(2, func(_ clock.SiteID, payloads [][]byte) error {
-		delivered.Add(int64(len(payloads)))
-		return nil
-	})
-	payload := make([]byte, e18Payload)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-
-	row := E18Row{Transport: transport, Pattern: pattern}
-	sw := stopwatch.Start()
-	switch pattern {
-	case "send":
-		var wg sync.WaitGroup
-		errc := make(chan error, e18Senders)
-		per := messages / e18Senders
-		for g := 0; g < e18Senders; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < per; i++ {
-					if err := send.Send(1, 2, payload); err != nil {
-						errc <- err
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		close(errc)
-		if err := <-errc; err != nil {
-			return E18Row{}, fmt.Errorf("E18 %s send: %w", transport, err)
-		}
-		row.Messages = per * e18Senders
-		row.Frames = row.Messages
-	case "batch":
-		frame := make([][]byte, e18BatchSize)
-		for i := range frame {
-			frame[i] = payload
-		}
-		frames := messages / e18BatchSize
-		for i := 0; i < frames; i++ {
-			if err := send.SendBatch(1, 2, frame); err != nil {
-				return E18Row{}, fmt.Errorf("E18 %s batch: %w", transport, err)
-			}
-		}
-		row.Messages = frames * e18BatchSize
-		row.Frames = frames
-	case "call":
-		// Round trips are latency-bound; a fraction of the message
-		// budget keeps the cell's wall time comparable.
-		calls := messages / 4
-		for i := 0; i < calls; i++ {
-			if _, err := send.Call(1, 2, payload); err != nil {
-				return E18Row{}, fmt.Errorf("E18 %s call: %w", transport, err)
-			}
-		}
-		row.Messages = calls
-		row.Frames = calls
-	default:
-		return E18Row{}, fmt.Errorf("E18: unknown pattern %q", pattern)
-	}
-	elapsed := sw.Elapsed()
-	if got := int(delivered.Load()); got != row.Messages {
-		return E18Row{}, fmt.Errorf("E18 %s %s: delivered %d of %d", transport, pattern, got, row.Messages)
-	}
-	secs := elapsed.Seconds()
-	row.MsgsPerSec = float64(row.Messages) / secs
-	row.MBPerSec = float64(row.Messages) * e18Payload / 1e6 / secs
-	row.MeanLatencyMicros = elapsed.Seconds() * 1e6 / float64(row.Frames)
-	return row, nil
-}
-
-// E18Sweep measures every transport × pattern cell.
-func E18Sweep(quick bool) ([]E18Row, error) {
-	messages := E18Messages(quick)
-	rows := make([]E18Row, 0, len(E18Transports)*len(E18Patterns))
-	for _, tr := range E18Transports {
-		for _, pat := range E18Patterns {
-			row, err := e18Measure(tr, pat, messages)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
-// runE18 compares the in-process simulator against the TCP transport on
-// loopback for each traffic shape.  The point is not that sockets are
-// slower — they are — but that batched frames recover most of the gap:
-// serialization and syscalls are paid once per frame, which is the
-// propagation regime the asynchronous methods actually run in.
-func runE18(quick bool) (*tabular.Table, error) {
-	rows, err := E18Sweep(quick)
-	if err != nil {
-		return nil, err
-	}
-	t := tabular.New("E18: transport throughput — in-memory simulator vs loopback TCP",
-		"transport", "pattern", "messages", "frames", "msgs/sec", "MB/sec", "mean latency")
-	for _, r := range rows {
-		t.AddRowf(r.Transport, r.Pattern, r.Messages, r.Frames,
-			fmt.Sprintf("%.0f", r.MsgsPerSec),
-			fmt.Sprintf("%.1f", r.MBPerSec),
-			fmt.Sprintf("%.1fµs", r.MeanLatencyMicros))
-	}
-	return t, nil
-}
-
-// --- E19 ---
-
-// E19Row is one sequencer-deployment cell, exported so cmd/esrbench can
-// record the BENCH_fault.json baseline.
-type E19Row struct {
-	// Mode is "single" (one virtual order server, the paper's
-	// centralized sequencer) or "replicated" (one ensemble member
-	// co-hosted with every site).
-	Mode string `json:"mode"`
-	// Updates is the number of update ETs driven to quiescence.
-	Updates int `json:"updates"`
-	// UpdatesPerSec is end-to-end update throughput with no faults
-	// injected — the price of majority-acked reservations.
-	UpdatesPerSec float64 `json:"updates_per_sec"`
-	// Failover statistics; zero in "single" mode, where a sequencer
-	// crash is an outage rather than a failover.
-	Failovers         int     `json:"failovers,omitempty"`
-	FailoverP50Millis float64 `json:"failover_p50_millis,omitempty"`
-	FailoverP99Millis float64 `json:"failover_p99_millis,omitempty"`
-}
-
-// E19Updates returns the per-mode update count E19 runs at.
-func E19Updates(quick bool) int {
-	if quick {
-		return 2_400
-	}
-	return 9_600
-}
-
-// E19FailoverRounds returns the number of leader kills the failover
-// loop performs.
-func E19FailoverRounds(quick bool) int {
-	if quick {
-		return 5
-	}
-	return 12
-}
-
-// E19Overhead returns the fractional no-fault throughput cost of
-// replicating the sequencer: (single - replicated) / single.
-func E19Overhead(rows []E19Row) float64 {
-	var single, repl float64
-	for _, r := range rows {
-		switch r.Mode {
-		case "single":
-			single = r.UpdatesPerSec
-		case "replicated":
-			repl = r.UpdatesPerSec
-		}
-	}
-	if single == 0 {
-		return 0
-	}
-	return (single - repl) / single
-}
-
-// e19Engine builds a durable 3-site ORDUP sequencer cluster, with the
-// order service either centralized (replicas == 0) or replicated
-// across one ensemble member per site.  hb is the ORDUP stall
-// heartbeat: the failover loop needs a fast one (crashed reservations
-// orphan ranges that only heartbeat floors can close), while the
-// no-fault throughput runs use a relaxed one — each heartbeat's
-// watermark query is an ensemble round trip when replicated but a free
-// local read when centralized, so a hot heartbeat would bill the
-// replicated mode for traffic the workload never needs.
-func e19Engine(replicas int, hb time.Duration) (*ordup.Engine, func(), error) {
-	dir, err := os.MkdirTemp("", "e19")
-	if err != nil {
-		return nil, nil, err
-	}
-	eng, err := NewEngine(ORDUPSeq, 3, network.Config{Seed: 19},
-		Options{QueueDir: dir, SeqReplicas: replicas, Heartbeat: hb})
-	if err != nil {
-		os.RemoveAll(dir)
-		return nil, nil, err
-	}
-	oe := eng.(*ordup.Engine)
-	return oe, func() { oe.Close(); os.RemoveAll(dir) }, nil
-}
-
-// e19Burst is the commit-burst size the no-fault workload runs at: the
-// group-commit pipeline's default delivery window, the operating point
-// E15 established.  One sequence reservation (one ensemble round when
-// replicated) covers the whole burst.
-const e19Burst = 32
-
-// e19Throughput measures no-fault update throughput to quiescence for
-// one deployment mode.
-func e19Throughput(mode string, replicas, updates int) (E19Row, error) {
-	oe, done, err := e19Engine(replicas, 5*time.Millisecond)
-	if err != nil {
-		return E19Row{}, err
-	}
-	defer done()
-	const workers = 3
-	rounds := updates / (workers * e19Burst)
-	per := rounds * e19Burst
-	sw := stopwatch.Start()
-	var wg sync.WaitGroup
-	errc := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(origin clock.SiteID) {
-			defer wg.Done()
-			burst := make([][]op.Op, e19Burst)
-			for i := range burst {
-				burst[i] = []op.Op{op.IncOp("x", 1)}
-			}
-			for i := 0; i < rounds; i++ {
-				if _, err := oe.UpdateBurst(origin, burst); err != nil {
-					errc <- fmt.Errorf("E19 %s burst at %v: %w", mode, origin, err)
-					return
-				}
-			}
-		}(clock.SiteID(w + 1))
-	}
-	wg.Wait()
-	close(errc)
-	if err := <-errc; err != nil {
-		return E19Row{}, err
-	}
-	if err := oe.Cluster().Quiesce(60 * time.Second); err != nil {
-		return E19Row{}, fmt.Errorf("E19 %s: %w", mode, err)
-	}
-	elapsed := sw.Elapsed()
-	return E19Row{
-		Mode:          mode,
-		Updates:       per * workers,
-		UpdatesPerSec: float64(per*workers) / elapsed.Seconds(),
-	}, nil
-}
-
-// e19SeqLeader finds the site whose co-hosted ensemble member currently
-// leads (0 when no leader is elected yet).
-func e19SeqLeader(c *core.Cluster) clock.SiteID {
-	for _, id := range c.SiteIDs() {
-		if r := c.SeqReplica(id); r != nil && r.IsLeader() {
-			return id
-		}
-	}
-	return 0
-}
-
-// e19Failover kills the ensemble leader's host site repeatedly and
-// measures, per kill, how long a surviving origin is locked out of the
-// order service: the wall time until its next update commits.
-func e19Failover(rounds int) ([]time.Duration, error) {
-	oe, done, err := e19Engine(3, 200*time.Microsecond)
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	c := oe.Cluster()
-	// Elect a first leader and warm the client's hint.
-	if _, err := oe.Update(1, []op.Op{op.IncOp("x", 1)}); err != nil {
-		return nil, fmt.Errorf("E19 warmup: %w", err)
-	}
-	var downtimes []time.Duration
-	for round := 0; round < rounds; round++ {
-		var leader clock.SiteID
-		wait := stopwatch.Start()
-		for leader == 0 {
-			if leader = e19SeqLeader(c); leader == 0 {
-				if wait.Elapsed() > 10*time.Second {
-					return nil, fmt.Errorf("E19 round %d: no leader elected", round)
-				}
-				time.Sleep(200 * time.Microsecond)
-			}
-		}
-		survivor := leader%3 + 1
-		if err := oe.CrashSite(leader); err != nil {
-			return nil, fmt.Errorf("E19 round %d crash: %w", round, err)
-		}
-		sw := stopwatch.Start()
-		if _, err := oe.Update(survivor, []op.Op{op.IncOp("x", 1)}); err != nil {
-			return nil, fmt.Errorf("E19 round %d update at %v: %w", round, survivor, err)
-		}
-		downtimes = append(downtimes, sw.Elapsed())
-		if err := oe.RestartSite(leader); err != nil {
-			return nil, fmt.Errorf("E19 round %d restart: %w", round, err)
-		}
-	}
-	if err := c.Quiesce(60 * time.Second); err != nil {
-		return nil, err
-	}
-	return downtimes, nil
-}
-
-// e19Trials is the number of paired throughput trials.  The workload is
-// fsync- and scheduler-bound, so any single trial is at the mercy of
-// the machine's mood; running the two modes back to back inside each
-// pair cancels drift, and the median pair's ratio is what E19 reports —
-// a robust estimate of replication's cost rather than the noise floor.
-const e19Trials = 5
-
-// E19Sweep measures both deployment modes plus the failover loop.
-func E19Sweep(quick bool) ([]E19Row, error) {
-	updates := E19Updates(quick)
-	type pair struct{ single, repl E19Row }
-	pairs := make([]pair, 0, e19Trials)
-	for i := 0; i < e19Trials; i++ {
-		s, err := e19Throughput("single", 0, updates)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e19Throughput("replicated", 3, updates)
-		if err != nil {
-			return nil, err
-		}
-		pairs = append(pairs, pair{s, r})
-	}
-	ratio := func(p pair) float64 { return p.repl.UpdatesPerSec / p.single.UpdatesPerSec }
-	sort.Slice(pairs, func(i, j int) bool { return ratio(pairs[i]) < ratio(pairs[j]) })
-	median := pairs[len(pairs)/2]
-	single, repl := median.single, median.repl
-	downtimes, err := e19Failover(E19FailoverRounds(quick))
-	if err != nil {
-		return nil, err
-	}
-	sorted := append([]time.Duration(nil), downtimes...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	repl.Failovers = len(sorted)
-	repl.FailoverP50Millis = float64(sorted[len(sorted)/2]) / float64(time.Millisecond)
-	repl.FailoverP99Millis = float64(sorted[(len(sorted)*99)/100]) / float64(time.Millisecond)
-	return []E19Row{single, repl}, nil
-}
-
-// runE19 prices the replicated order service: the no-fault throughput
-// cost of majority-acked reservations, and the availability it buys —
-// bounded lockout while the ensemble elects a new leader after the
-// leader's host dies.
-func runE19(quick bool) (*tabular.Table, error) {
-	rows, err := E19Sweep(quick)
-	if err != nil {
-		return nil, err
-	}
-	t := tabular.New("E19: sequencer fault tolerance — failover downtime and no-fault overhead",
-		"mode", "updates", "updates/sec", "failovers", "downtime p50", "downtime p99")
-	for _, r := range rows {
-		fo, p50, p99 := "n/a", "n/a", "n/a"
-		if r.Failovers > 0 {
-			fo = fmt.Sprintf("%d", r.Failovers)
-			p50 = fmt.Sprintf("%.1fms", r.FailoverP50Millis)
-			p99 = fmt.Sprintf("%.1fms", r.FailoverP99Millis)
-		}
-		t.AddRowf(r.Mode, r.Updates, fmt.Sprintf("%.0f", r.UpdatesPerSec), fo, p50, p99)
-	}
-	t.AddRowf("overhead", "", fmt.Sprintf("%.1f%%", 100*E19Overhead(rows)), "", "", "")
-	return t, nil
-}
-
-// --- E20 ---
-
-// E20Shards are the ordering-domain counts the sharding sweep measures.
-var E20Shards = []int{1, 2, 4, 8}
-
-// E20Row is one sharding measurement, exported so cmd/esrbench can
-// record the BENCH_shard.json baseline.
-type E20Row struct {
-	Shards  int `json:"shards"`
-	Updates int `json:"updates"`
-	// CrossShardPercent is the fraction of update ETs whose operations
-	// span more than one ordering domain at this shard count — those
-	// commit through the 2PC sequence-reservation path.
-	CrossShardPercent float64 `json:"cross_shard_percent"`
-	UpdatesPerSec     float64 `json:"updates_per_sec"`
-	// SpeedupVs1 is this row's throughput over the same workload on the
-	// single-domain (shards=1) cluster.
-	SpeedupVs1 float64 `json:"speedup_vs_1"`
-	// ShardsConverged reports the per-shard convergence check: after
-	// quiescence, every site's canonical per-shard store serialization
-	// was byte-identical to site 1's, in every trial.
-	ShardsConverged bool `json:"shards_converged"`
-}
-
-// E20Trials is how many runs each shard count takes; the best (minimum)
-// time wins, as in E17.
-const E20Trials = 3
-
-// E20Updates returns the total update-ET count E20 drives (split across
-// the three concurrent origins).
-func E20Updates(quick bool) int {
-	if quick {
-		return 900
-	}
-	return 4500
-}
-
-// e20ObjectPool is the zipfian object universe.  64 objects hash across
-// up to 8 domains with every domain populated.
-const e20ObjectPool = 64
-
-// e20Bursts pre-generates origin's share of the workload as bursts of
-// update ETs: zipfian single-object increments, with every 20th ET
-// touching a second zipfian object.  The generation is independent of
-// the shard count — the identical ET stream runs at every point of the
-// sweep — so whether a two-object ET crosses domains is decided purely
-// by the object→shard hash.
-func e20Bursts(origin clock.SiteID, updates int) [][][]op.Op {
-	rng := rand.New(rand.NewSource(2026*int64(origin) + 7))
-	zipf := rand.NewZipf(rng, 1.2, 1, e20ObjectPool-1)
-	obj := func() string { return fmt.Sprintf("obj-%02d", zipf.Uint64()) }
-	const burst = 32
-	var bursts [][][]op.Op
-	for done := 0; done < updates; done += burst {
-		n := burst
-		if updates-done < n {
-			n = updates - done
-		}
-		b := make([][]op.Op, n)
-		for j := range b {
-			o := obj()
-			if (done+j)%20 == 19 {
-				o2 := obj()
-				for o2 == o {
-					o2 = obj()
-				}
-				b[j] = []op.Op{op.IncOp(o, 1), op.IncOp(o2, 1)}
-			} else {
-				b[j] = []op.Op{op.IncOp(o, 1)}
-			}
-		}
-		bursts = append(bursts, b)
-	}
-	return bursts
-}
-
-// e20CrossPercent counts how many generated ETs span ordering domains
-// at the given shard count.
-func e20CrossPercent(allBursts [][][][]op.Op, shards int) float64 {
-	total, cross := 0, 0
-	for _, bursts := range allBursts {
-		for _, b := range bursts {
-			for _, ops := range b {
-				total++
-				sh := et.ShardOf(ops[0].Object, shards)
-				for _, o := range ops[1:] {
-					if et.ShardOf(o.Object, shards) != sh {
-						cross++
-						break
-					}
-				}
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(cross) / float64(total)
-}
-
-// e20Trial drives one 3-site in-memory sequencer-mode cluster carved
-// into the given number of ordering domains, with all three origins
-// submitting their bursts concurrently, and reports the elapsed time to
-// quiescence plus the per-shard convergence verdict.
-func e20Trial(shards, updates int, allBursts [][][][]op.Op) (time.Duration, bool, error) {
-	eng, err := NewEngine(ORDUPSeq, 3, network.Config{Seed: 29},
-		Options{NumShards: shards})
-	if err != nil {
-		return 0, false, err
-	}
-	defer eng.Close()
-	bu, ok := eng.(BurstUpdater)
-	if !ok {
-		return 0, false, fmt.Errorf("E20: ordup does not support bursts")
-	}
-	sw := stopwatch.Start()
-	var wg sync.WaitGroup
-	errs := make([]error, len(allBursts))
-	for i, bursts := range allBursts {
-		wg.Add(1)
-		go func(i int, origin clock.SiteID, bursts [][][]op.Op) {
-			defer wg.Done()
-			for _, b := range bursts {
-				if _, err := bu.UpdateBurst(origin, b); err != nil {
-					errs[i] = fmt.Errorf("E20 shards=%d burst from %v: %w", shards, origin, err)
-					return
-				}
-			}
-		}(i, clock.SiteID(i+1), bursts)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, false, err
-		}
-	}
-	if err := eng.Cluster().Quiesce(60 * time.Second); err != nil {
-		return 0, false, fmt.Errorf("E20 shards=%d: %w", shards, err)
-	}
-	elapsed := sw.Elapsed()
-	return elapsed, e20ShardsConverged(eng.Cluster(), shards), nil
-}
-
-// e20ShardsConverged checks per-shard byte-identical convergence: each
-// ordering domain's slice of every site's store must serialize to the
-// same canonical string as site 1's.
-func e20ShardsConverged(c *core.Cluster, shards int) bool {
-	dump := func(id clock.SiteID) []string {
-		s := c.Site(id)
-		objs := s.Store.Objects()
-		sort.Strings(objs)
-		per := make([]string, shards)
-		for _, o := range objs {
-			sh := c.ShardOfObject(o)
-			per[sh] += o + "=" + s.Store.Get(o).String() + ";"
-		}
-		return per
-	}
-	want := dump(1)
-	for _, id := range c.SiteIDs()[1:] {
-		got := dump(id)
-		for sh := range want {
-			if got[sh] != want[sh] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// E20Sweep measures every shard count, best of E20Trials, and resolves
-// each row's speedup against the shards=1 baseline.  A row's
-// convergence verdict holds only when every trial converged per shard.
-func E20Sweep(quick bool) ([]E20Row, error) {
-	updates := E20Updates(quick)
-	perOrigin := updates / 3
-	allBursts := make([][][][]op.Op, 3)
-	for i := range allBursts {
-		allBursts[i] = e20Bursts(clock.SiteID(i+1), perOrigin)
-	}
-	var rows []E20Row
-	base := -1.0
-	for _, shards := range E20Shards {
-		const forever = time.Duration(1<<63 - 1)
-		best := forever
-		converged := true
-		for trial := 0; trial < E20Trials; trial++ {
-			d, conv, err := e20Trial(shards, updates, allBursts)
-			if err != nil {
-				return nil, err
-			}
-			if d < best {
-				best = d
-			}
-			converged = converged && conv
-		}
-		row := E20Row{
-			Shards:            shards,
-			Updates:           3 * perOrigin,
-			CrossShardPercent: e20CrossPercent(allBursts, shards),
-			UpdatesPerSec:     float64(3*perOrigin) / best.Seconds(),
-			ShardsConverged:   converged,
-		}
-		if shards == 1 {
-			base = row.UpdatesPerSec
-		}
-		if base > 0 {
-			row.SpeedupVs1 = row.UpdatesPerSec / base
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// E20SpeedupAt returns the measured speedup at the given shard count
-// (0 when the sweep has no such row) — the statistic the CI gate tests.
-func E20SpeedupAt(rows []E20Row, shards int) float64 {
-	for _, r := range rows {
-		if r.Shards == shards {
-			return r.SpeedupVs1
-		}
-	}
-	return 0
-}
-
-// E20Converged reports whether every row of the sweep passed the
-// per-shard byte-identical convergence check.
-func E20Converged(rows []E20Row) bool {
-	for _, r := range rows {
-		if !r.ShardsConverged {
-			return false
-		}
-	}
-	return true
-}
-
-// runE20 sweeps the shard count under the zipfian multi-origin workload.
-// The CI gate lives in cmd/esrbench (-minspeedup on the shards=4 row,
-// scaled to the machine's GOMAXPROCS); the experiment itself reports.
-func runE20(quick bool) (*tabular.Table, error) {
-	rows, err := E20Sweep(quick)
-	if err != nil {
-		return nil, err
-	}
-	t := tabular.New("E20: sharded ordering domains — throughput vs shard count",
-		"shards", "updates", "cross-shard", "updates/sec", "speedup", "converged")
-	for _, r := range rows {
-		t.AddRowf(r.Shards, r.Updates,
-			fmt.Sprintf("%.1f%%", r.CrossShardPercent),
-			fmt.Sprintf("%.0f", r.UpdatesPerSec),
-			fmt.Sprintf("%.2fx", r.SpeedupVs1),
-			fmt.Sprintf("%t", r.ShardsConverged))
-	}
-	return t, nil
-}
-
-// --- E21 ---
-
-// E21Row is one consistency level's measurement under the shared
-// write-heavy zipfian workload, exported so cmd/esrbench can record the
-// BENCH_read.json baseline.
-type E21Row struct {
-	Level string `json:"level"`
-	Reads int    `json:"reads"`
-	// ReadsPerSec is the sustained read throughput over the measurement
-	// window while three writers commit zipfian increments nonstop.
-	ReadsPerSec float64 `json:"reads_per_sec"`
-	// SpeedupVsStrong is this level's throughput over the strong level's
-	// on the same workload — the menu's headline trade.
-	SpeedupVsStrong float64 `json:"speedup_vs_strong"`
-	// MeanStalenessMs / MaxStalenessMs summarize the per-read observed
-	// replica staleness (time the oldest accepted-unapplied update had
-	// been waiting when the read returned).
-	MeanStalenessMs float64 `json:"mean_staleness_ms"`
-	MaxStalenessMs  float64 `json:"max_staleness_ms"`
-	// DelayedPercent is the fraction of reads that parked on the level's
-	// gate (drain, SAFETIME, or staleness wait) before reading.
-	DelayedPercent float64 `json:"delayed_percent"`
-}
-
-// E21MaxStaleness is the bounded level's Δt: the staleness bound the
-// gate enforces and the baseline's staleness verdict is judged against.
-const E21MaxStaleness = 250 * time.Millisecond
-
-// e21GateTimeout caps how long one strong read may park on the drain
-// gate, so a hot object with nonstop writers bounds the experiment's
-// wall clock instead of wedging it.
-const e21GateTimeout = 300 * time.Millisecond
-
-// E21Window returns the per-level measurement window.
-func E21Window(quick bool) time.Duration {
-	if quick {
-		return 800 * time.Millisecond
-	}
-	return 2 * time.Second
-}
-
-// e21ObjectPool is the zipfian object universe the writers and readers
-// share; the skew concentrates both on the same hot keys, which is the
-// adversarial case for strong reads.
-const e21ObjectPool = 32
-
-// e21WritersPerSite is the number of closed-loop writer clients per
-// origin site.  Each Update pays a sequencer round trip, so per-client
-// throughput is latency-bound; several clients per site keep enough
-// sequenced MSets in flight that reordered deliveries — and the
-// accepted-but-unapplied hold windows they open — overlap on the hot
-// objects instead of arriving one at a time.
-const e21WritersPerSite = 6
-
-// e21ThinkTime is each reader client's inter-read pause.  The readers
-// are closed-loop clients, not spin loops: a level's throughput is then
-// governed by its per-read gate latency (think + read), which is the
-// quantity the menu trades away, instead of by how completely a spinning
-// reader can starve the apply pipeline of CPU.
-const e21ThinkTime = 200 * time.Microsecond
-
-// e21ZipfS is the zipfian skew shared by writers and readers: both
-// concentrate on the same hot keys, the adversarial case for strong
-// reads.
-const e21ZipfS = 1.5
-
-// e21ReadWidth is how many zipf-drawn objects each query reads.  Strong
-// reads must drain every one of them, so wider reads meet the hot keys
-// (and their hold windows) more often.
-const e21ReadWidth = 3
-
-// e21Trial measures one consistency level: a 3-site sequencer-mode
-// ORDUP cluster with several closed-loop writer clients per site
-// committing single-object zipfian increments, and two closed-loop
-// readers (sites 2 and 3) issuing e21ReadWidth-object zipfian reads at
-// the level through core.ReadAtSite for the whole window.
-func e21Trial(level consistency.Level, window time.Duration) (E21Row, error) {
-	// Sequencer-mode ORDUP over links with real latency: MSets that
-	// arrive out of their total order are accepted but held until the
-	// gap fills, so every reordered delivery opens a multi-millisecond
-	// accepted-but-unapplied window — exactly the state strong reads
-	// must drain and bounded reads may import.  On an instant in-memory
-	// COMMU cluster nothing is ever pending and every level degenerates
-	// to an eventual read.
-	eng, err := NewEngine(ORDUPSeq, 3, network.Config{
-		Seed: 33, MinLatency: 2 * time.Millisecond, MaxLatency: 40 * time.Millisecond,
-	}, Options{})
-	if err != nil {
-		return E21Row{}, err
-	}
-	defer eng.Close()
-	cl := eng.Cluster()
-
-	stop := make(chan struct{})
-	var writers sync.WaitGroup
-	for w := 0; w < 3*e21WritersPerSite; w++ {
-		writers.Add(1)
-		go func(w int, origin clock.SiteID) {
-			defer writers.Done()
-			rng := rand.New(rand.NewSource(3300 + int64(w)))
-			zipf := rand.NewZipf(rng, e21ZipfS, 1, e21ObjectPool-1)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				obj := fmt.Sprintf("obj-%02d", zipf.Uint64())
-				if _, err := eng.Update(origin, []op.Op{op.IncOp(obj, 1)}); err != nil {
-					return
-				}
-			}
-		}(w, clock.SiteID(1+w%3))
-	}
-
-	type readerStats struct {
-		reads, delayed int
-		stalenessSum   time.Duration
-		stalenessMax   time.Duration
-		err            error
-	}
-	stats := make([]readerStats, 2)
-	var readers sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		readers.Add(1)
-		go func(r int, site clock.SiteID) {
-			defer readers.Done()
-			rng := rand.New(rand.NewSource(6600 + int64(r)))
-			zipf := rand.NewZipf(rng, e21ZipfS, 1, e21ObjectPool-1)
-			st := &stats[r]
-			sw := stopwatch.Start()
-			for sw.Elapsed() < window {
-				// Closed-loop client think time: without it the readers
-				// monopolize the scheduler on small machines and starve the
-				// very replication pipeline whose lag the levels price.
-				time.Sleep(e21ThinkTime)
-				objs := make([]string, e21ReadWidth)
-				for i := range objs {
-					objs[i] = fmt.Sprintf("obj-%02d", zipf.Uint64())
-				}
-				res, err := core.ReadAtSite(cl, site, objs, core.ReadOptions{
-					Level:        level,
-					MaxStaleness: E21MaxStaleness,
-					WaitTimeout:  e21GateTimeout,
-				})
-				if err != nil {
-					st.err = fmt.Errorf("E21 %s read at %v: %w", level, site, err)
-					return
-				}
-				st.reads++
-				st.stalenessSum += res.Staleness
-				if res.Staleness > st.stalenessMax {
-					st.stalenessMax = res.Staleness
-				}
-				if res.Waited > time.Millisecond {
-					st.delayed++
-				}
-			}
-		}(r, clock.SiteID(2+r))
-	}
-	sw := stopwatch.Start()
-	readers.Wait()
-	elapsed := sw.Elapsed()
-	close(stop)
-	writers.Wait()
-	if err := cl.Quiesce(60 * time.Second); err != nil {
-		return E21Row{}, fmt.Errorf("E21 %s: %w", level, err)
-	}
-	row := E21Row{Level: level.String()}
-	var sum time.Duration
-	delayed := 0
-	for _, st := range stats {
-		if st.err != nil {
-			return E21Row{}, st.err
-		}
-		row.Reads += st.reads
-		delayed += st.delayed
-		sum += st.stalenessSum
-		if ms := float64(st.stalenessMax) / float64(time.Millisecond); ms > row.MaxStalenessMs {
-			row.MaxStalenessMs = ms
-		}
-	}
-	if row.Reads > 0 {
-		row.MeanStalenessMs = float64(sum) / float64(row.Reads) / float64(time.Millisecond)
-		row.DelayedPercent = 100 * float64(delayed) / float64(row.Reads)
-	}
-	row.ReadsPerSec = float64(row.Reads) / elapsed.Seconds()
-	return row, nil
-}
-
-// E21Sweep measures every level of the menu, weakest to strongest, and
-// resolves each row's speedup against the strong level's throughput.
-func E21Sweep(quick bool) ([]E21Row, error) {
-	window := E21Window(quick)
-	var rows []E21Row
-	for _, level := range consistency.Levels() {
-		row, err := e21Trial(level, window)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	strong := 0.0
-	for _, r := range rows {
-		if r.Level == consistency.Strong.String() {
-			strong = r.ReadsPerSec
-		}
-	}
-	if strong > 0 {
-		for i := range rows {
-			rows[i].SpeedupVsStrong = rows[i].ReadsPerSec / strong
-		}
-	}
-	return rows, nil
-}
-
-// E21SpeedupOf returns the named level's speedup over strong (0 when
-// the sweep has no such row) — the statistic the CI gate tests for the
-// eventual and bounded levels.
-func E21SpeedupOf(rows []E21Row, level string) float64 {
-	for _, r := range rows {
-		if r.Level == level {
-			return r.SpeedupVsStrong
-		}
-	}
-	return 0
-}
-
-// E21BoundedWithinDt reports whether the bounded level's mean observed
-// staleness stayed within Δt.  The gate reads the mean, not the max: the
-// staleness gauge is sampled after the snapshot is taken, so a write
-// burst landing mid-read can push an individual sample past the bound
-// the gate enforced at wait time.
-func E21BoundedWithinDt(rows []E21Row) bool {
-	for _, r := range rows {
-		if r.Level == consistency.Bounded.String() {
-			return r.MeanStalenessMs <= float64(E21MaxStaleness)/float64(time.Millisecond)
-		}
-	}
-	return false
-}
-
-// runE21 sweeps the four consistency levels under the shared zipfian
-// write load.  The CI gate lives in cmd/esrbench (-minspeedup on the
-// eventual and bounded rows plus the bounded staleness verdict); the
-// experiment itself reports.
-func runE21(quick bool) (*tabular.Table, error) {
-	rows, err := E21Sweep(quick)
-	if err != nil {
-		return nil, err
-	}
-	t := tabular.New("E21: consistency-level read menu — throughput and staleness per level",
-		"level", "reads", "reads/sec", "vs strong", "staleness mean", "staleness max", "delayed")
-	for _, r := range rows {
-		t.AddRowf(r.Level, r.Reads,
-			fmt.Sprintf("%.0f", r.ReadsPerSec),
-			fmt.Sprintf("%.1fx", r.SpeedupVsStrong),
-			fmt.Sprintf("%.2fms", r.MeanStalenessMs),
-			fmt.Sprintf("%.2fms", r.MaxStalenessMs),
-			fmt.Sprintf("%.1f%%", r.DelayedPercent))
 	}
 	return t, nil
 }
