@@ -40,6 +40,7 @@ import (
 	"esr/internal/clock"
 	"esr/internal/consistency"
 	"esr/internal/core"
+	"esr/internal/divergence"
 	"esr/internal/metrics"
 	"esr/internal/network"
 	"esr/internal/op"
@@ -279,7 +280,7 @@ func run(site, sites int, method, listen, peersSpec, peersDir, dir, maddr string
 			lv := readLevels[readsDone%len(readLevels)]
 			obj := fmt.Sprintf("obj-%d", rng.Intn(objects))
 			res, err := core.ReadAtSite(cl, self, []string{obj}, core.ReadOptions{
-				Level: lv, MaxStaleness: maxStale,
+				Level: lv, Epsilon: divergence.Unlimited, MaxStaleness: maxStale,
 			})
 			if err != nil {
 				return fmt.Errorf("mid-load %s read %d: %w", lv, readsDone, err)
@@ -313,7 +314,7 @@ func run(site, sites int, method, listen, peersSpec, peersDir, dir, maddr string
 			want := st.Get(obj)
 			for _, lv := range consistency.Levels() {
 				res, err := core.ReadAtSite(cl, self, []string{obj}, core.ReadOptions{
-					Level: lv, MaxStaleness: maxStale,
+					Level: lv, Epsilon: divergence.Unlimited, MaxStaleness: maxStale,
 				})
 				if err != nil {
 					return fmt.Errorf("post-drain %s read of %s: %w", lv, obj, err)

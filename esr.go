@@ -283,7 +283,7 @@ func Open(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{eng: eng, method: cfg.Method,
-		readOpts: core.ReadOptions{Level: level, MaxStaleness: cfg.MaxStaleness}}
+		readOpts: core.ReadOptions{Level: level, Epsilon: divergence.Unlimited, MaxStaleness: cfg.MaxStaleness}}
 	if cfg.MetricsAddr != "" {
 		ring := eng.Cluster().Trace
 		srv, err := metrics.Serve(cfg.MetricsAddr, metrics.ServeOptions{

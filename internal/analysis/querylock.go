@@ -16,9 +16,9 @@ import (
 // path's 2PL machinery, reintroducing exactly the read/write
 // interference the SAFETIME watermark exists to avoid.  The rule walks
 // the static call graph from every query-path entry point (engine
-// Query/QuerySpec/QueryAt methods, the core QueryAtSite/ReadAtSite
-// helpers, and their lowercase query* callees) and flags any reachable
-// lock-manager acquisition.
+// Query/QuerySpec/QueryAt/QueryNumeric methods, core.ReadAtSite, and
+// their lowercase query* callees) and flags any reachable lock-manager
+// acquisition.
 //
 // The coherency baselines (2PC-ROWA, quorum) are exempt by package:
 // their queries acquire locks by design — that synchronization cost is
@@ -34,7 +34,7 @@ var QueryLockFree = &Analyzer{
 // path.
 var queryRootNames = map[string]bool{
 	"Query": true, "QuerySpec": true, "QueryAt": true, "QueryNumeric": true,
-	"ReadAtSite": true, "QueryAtSite": true, "QueryAtSiteSpec": true,
+	"ReadAtSite": true,
 }
 
 // isQueryRoot reports whether the function starts a query path the rule

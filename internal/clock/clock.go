@@ -54,6 +54,10 @@ func (t Timestamp) Compare(u Timestamp) int {
 // IsZero reports whether t is the zero timestamp.
 func (t Timestamp) IsZero() bool { return t.Time == 0 && t.Site == 0 }
 
+// Latest sorts after every clock-produced timestamp: a read at Latest
+// sees the newest local state.
+var Latest = Timestamp{Time: ^uint64(0), Site: SiteID(^uint(0) >> 1)}
+
 // String implements fmt.Stringer.
 func (t Timestamp) String() string { return fmt.Sprintf("%d.%d", t.Time, int(t.Site)) }
 

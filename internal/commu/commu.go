@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"esr/internal/clock"
+	"esr/internal/consistency"
 	"esr/internal/core"
 	"esr/internal/divergence"
 	"esr/internal/et"
@@ -367,27 +368,27 @@ func (e *Engine) CounterValue(object string) int {
 
 // Query executes a query ET at the given site under an ε limit.  Reads
 // are priced by the object's lock-counter plus the query's overlap; past
-// ε the query takes RU locks, serializing against in-flight appliers
-// ("the only way to make query ETs SR is to put them at the beginning or
-// at the end", §3.2).
+// ε a read drains the object's queued updates first, serializing it
+// against in-flight appliers ("the only way to make query ETs SR is to
+// put them at the beginning or at the end", §3.2).
 func (e *Engine) Query(site clock.SiteID, objects []string, eps divergence.Limit) (et.QueryResult, error) {
-	return core.QueryAtSite(e.c, site, objects, eps,
-		func(s *replica.Site, obj string, baseline uint64) int {
-			// Committed-but-invisible updates (including MSets still in
-			// transit to this site) plus update ETs applied here since
-			// the query began.
-			return e.invisibleAt(s.ID, obj) + int(s.Epoch(obj)-baseline)
-		})
+	return core.ReadAtSite(e.c, site, objects, core.ReadOptions{Level: consistency.Bounded, Epsilon: eps, At: clock.Latest, Price: e.price(site)})
 }
 
 // QuerySpec executes a query ET under a per-object ε specification
 // (spatial consistency): each object's read is bounded by its own
 // budget.
 func (e *Engine) QuerySpec(site clock.SiteID, objects []string, spec divergence.Spec) (et.QueryResult, error) {
-	return core.QueryAtSiteSpec(e.c, site, objects, spec,
-		func(s *replica.Site, obj string, baseline uint64) int {
-			return e.invisibleAt(s.ID, obj) + int(s.Epoch(obj)-baseline)
-		})
+	return core.ReadAtSite(e.c, site, objects, core.ReadOptions{Level: consistency.Bounded, Spec: spec, At: clock.Latest, Price: e.price(site)})
+}
+
+// price is COMMU's overlap price at the site: committed-but-invisible
+// updates (in transit included) plus updates applied since the query began.
+func (e *Engine) price(site clock.SiteID) func(string, uint64) int {
+	s := e.c.Site(site)
+	return func(obj string, baseline uint64) int {
+		return e.invisibleAt(site, obj) + int(s.Epoch(obj)-baseline)
+	}
 }
 
 // CrashSite simulates a site failure on a durable cluster.

@@ -1,11 +1,10 @@
 package commu
 
 import (
-	"fmt"
-	"sort"
-
 	"esr/internal/clock"
 	"esr/internal/consistency"
+	"esr/internal/core"
+	"esr/internal/divergence"
 	"esr/internal/op"
 )
 
@@ -33,32 +32,17 @@ type NumericResult struct {
 // notes that "in order to implement the other spatial consistency
 // criteria, replica control methods would need to explicitly include
 // these factors" — this method is that inclusion for COMMU, and the
-// same idea later became TACT's numerical error.  Reads whose pending
-// drift would exceed the budget take the conservative path: they drain
-// the object's pending updates (WaitDrained) and re-read, lock-free,
-// exactly like ε-exhausted reads on the unified read path.
+// same idea later became TACT's numerical error.  It is the ε-query with
+// each read priced by its pending drift: reads whose drift would exceed
+// the budget drain the object's pending updates and re-read, lock-free.
 func (e *Engine) QueryNumeric(site clock.SiteID, objects []string, maxDrift int64) (NumericResult, error) {
-	s := e.c.Site(site)
-	if s == nil {
-		return NumericResult{}, fmt.Errorf("commu: unknown site %v", site)
+	eps := divergence.Limit(maxDrift)
+	if eps == divergence.Unlimited {
+		eps-- // a negative bound admits no drift, but Limit(-1) reads as Unlimited
 	}
-	qid := e.c.NextET(site)
-	sorted := append([]string(nil), objects...)
-	sort.Strings(sorted)
-	vals := make(map[string]op.Value, len(sorted))
-	var spent int64
-	for _, obj := range sorted {
-		cost := e.invisibleDriftAt(site, obj)
-		if spent+cost > maxDrift {
-			// Conservative: drain the drift away instead of importing it.
-			_ = s.WaitDrained(obj, consistency.DefaultWaitTimeout)
-		} else {
-			spent += cost
-		}
-		vals[obj] = s.Store.Get(obj)
-		e.c.RecordQueryRead(qid, obj)
-	}
-	return NumericResult{Values: vals, Drift: spent, MaxDrift: maxDrift, Site: site}, nil
+	res, err := core.ReadAtSite(e.c, site, objects, core.ReadOptions{Level: consistency.Bounded, Epsilon: eps, At: clock.Latest,
+		Price: func(obj string, _ uint64) int { return int(e.invisibleDriftAt(site, obj)) }})
+	return NumericResult{Values: res.Values, Drift: int64(res.Inconsistency), MaxDrift: maxDrift, Site: res.Site}, err
 }
 
 // invisibleDriftAt sums the absolute additive deltas of in-flight update

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"esr/internal/clock"
+	"esr/internal/consistency"
 	"esr/internal/core"
 	"esr/internal/divergence"
 	"esr/internal/et"
@@ -399,17 +400,9 @@ func (e *Engine) resolve(id et.ID, to status) error {
 // object here — the conservative "number of potential compensations"
 // bound of §4.2.
 func (e *Engine) Query(site clock.SiteID, objects []string, eps divergence.Limit) (et.QueryResult, error) {
-	sl := e.logs[site]
-	if sl == nil {
-		return et.QueryResult{}, fmt.Errorf("compe: unknown site %v", site)
-	}
-	return core.QueryAtSite(e.c, site, objects, eps,
-		func(s *replica.Site, obj string, baseline uint64) int {
-			sl.mu.Lock()
-			risk := sl.risk[obj]
-			sl.mu.Unlock()
-			return core.OverlapCost(s, obj, baseline) + risk
-		})
+	s := e.c.Site(site) // nil for an unknown site, which ReadAtSite refuses before pricing
+	return core.ReadAtSite(e.c, site, objects, core.ReadOptions{Level: consistency.Bounded, Epsilon: eps, At: clock.Latest,
+		Price: func(obj string, baseline uint64) int { return core.OverlapCost(s, obj, baseline) + e.RiskAt(site, obj) }})
 }
 
 // RiskAt reports the number of unresolved tentative ETs applied at the

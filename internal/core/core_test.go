@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"esr/internal/clock"
+	"esr/internal/consistency"
 	"esr/internal/divergence"
 	"esr/internal/et"
 	"esr/internal/history"
@@ -223,9 +224,10 @@ func TestCloseIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestQueryAtSiteConservativePathSerializes(t *testing.T) {
-	// With a zero budget and a pending update, QueryAtSite must take RU
-	// locks; a concurrent applier blocks rather than interleave.
+func TestZeroEpsilonReadImportsNoHeldUpdate(t *testing.T) {
+	// With a zero budget and a held update, the ε-query refuses the
+	// overlap instead of charging it, and the applier still drains once
+	// released.
 	var gate atomic.Bool
 	c := newCluster(t, 1, network.Config{Seed: 1}, func(s *replica.Site) replica.ApplyFunc {
 		return func(m et.MSet) error {
@@ -241,9 +243,10 @@ func TestQueryAtSiteConservativePathSerializes(t *testing.T) {
 	m := et.MSet{ET: c.NextET(1), Origin: 1, Ops: []op.Op{op.IncOp("x", 1)}}
 	c.Broadcast(m)
 	time.Sleep(time.Millisecond)
-	res, err := QueryAtSite(c, 1, []string{"x"}, 0, OverlapCost)
+	res, err := ReadAtSite(c, 1, []string{"x"}, ReadOptions{Level: consistency.Bounded, At: clock.Latest,
+		WaitTimeout: 100 * time.Millisecond})
 	if err != nil {
-		t.Fatalf("QueryAtSite: %v", err)
+		t.Fatalf("ReadAtSite: %v", err)
 	}
 	if res.Inconsistency != 0 {
 		t.Errorf("ε=0 query reported %d", res.Inconsistency)
@@ -255,9 +258,9 @@ func TestQueryAtSiteConservativePathSerializes(t *testing.T) {
 	}
 }
 
-func TestQueryAtSiteUnknownSite(t *testing.T) {
+func TestReadAtSiteUnknownSite(t *testing.T) {
 	c := newCluster(t, 1, network.Config{Seed: 1}, nil)
-	if _, err := QueryAtSite(c, 9, []string{"x"}, divergence.Unlimited, OverlapCost); err == nil {
+	if _, err := ReadAtSite(c, 9, []string{"x"}, ReadOptions{Epsilon: divergence.Unlimited}); err == nil {
 		t.Errorf("unknown site must fail")
 	}
 }

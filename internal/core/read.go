@@ -1,8 +1,8 @@
-// The unified consistency-level read path (DESIGN.md §13).  Every
-// method engine serves its queries through ReadAtSite: the level picks
-// a snapshot timestamp, the SAFETIME gate parks reads the local replica
-// cannot yet serve, and the MVStore answers them lock-free.  No code on
-// this path touches the lock manager (esrvet rule A11 enforces that).
+// The unified read path (DESIGN.md §13).  Every consistency level and
+// every method's ε-query runs through ReadAtSite, except the paper's two
+// alternative divergence controls: ORDUP's basic-TO query and RITU-MV's
+// VTNC query.  No code on this path touches the lock manager (esrvet
+// rule A11 enforces that).
 
 package core
 
@@ -21,13 +21,23 @@ import (
 )
 
 // ReadOptions selects how a consistency-level read executes.  The zero
-// value is an eventual read with an unlimited ε budget.
+// value is an eventual read.
 type ReadOptions struct {
 	// Level is the consistency level from the menu.
 	Level consistency.Level
-	// Epsilon bounds the inconsistency a bounded read may import
-	// (divergence.Unlimited when zero-valued via WithDefaults).
+	// Epsilon bounds the inconsistency a bounded read may import.  Zero
+	// means zero; divergence.Unlimited places no bound.
 	Epsilon divergence.Limit
+	// Spec, when set, gives each object its own budget in place of
+	// Epsilon (§5.1 spatial consistency); the result's Epsilon is then
+	// Spec.Total(objects).
+	Spec divergence.Spec
+	// Price is a bounded read's cost for one object, given its epoch when
+	// the read began.  Nil means OverlapCost.
+	Price func(object string, baseline uint64) int
+	// At, when set, reads this timestamp instead of the level's gate and
+	// snapshot; clock.Latest reads the newest local state.
+	At clock.Timestamp
 	// MaxStaleness is the bounded level's Δt: the read proceeds only
 	// while the site's wall-clock staleness is at most Δt.
 	MaxStaleness time.Duration
@@ -47,9 +57,6 @@ func (o ReadOptions) withDefaults() ReadOptions {
 	if o.WaitTimeout <= 0 {
 		o.WaitTimeout = consistency.DefaultWaitTimeout
 	}
-	if o.Epsilon == 0 {
-		o.Epsilon = divergence.Unlimited
-	}
 	return o
 }
 
@@ -62,12 +69,15 @@ func (o ReadOptions) withDefaults() ReadOptions {
 //	           to the serial-order store.
 //	bounded  — if the site's staleness exceeds Δt, park until the replica
 //	           catches up; then read the SAFETIME snapshot, charging each
-//	           object's overlap against the ε budget (objects whose charge
-//	           does not fit drain first, like the paper's conservative
-//	           queries).
+//	           object's Price against ε (an object whose charge does not
+//	           fit drains first, like the paper's conservative queries).
 //	session  — park until SAFETIME passes the caller's high-water mark,
 //	           then read that snapshot (read-your-writes).
 //	eventual — read the latest local state immediately.
+//
+// The paper's ε-query is the bounded level at At = clock.Latest: no Δt
+// gate, and a read past ε drains and re-reads the newest local state,
+// running "in the global order" (§3.1).
 //
 // Snapshot reads pin the MVStore at the chosen timestamp for their
 // duration, so concurrent version GC never prunes state from under
@@ -88,23 +98,24 @@ func ReadAtSite(c *Cluster, site clock.SiteID, objects []string, o ReadOptions) 
 		baseline[obj] = s.Epoch(obj)
 	}
 
-	// Gate phase: park until the level's precondition holds.
+	// Gate phase: park until the level's precondition holds (unless At is set).
 	waitStart := time.Now()
 	delayed := false
-	switch o.Level {
-	case consistency.Strong:
+	switch {
+	case !o.At.IsZero():
+	case o.Level == consistency.Strong:
 		for _, obj := range sorted {
 			if s.Pending(obj) > 0 {
 				delayed = true
 			}
 			_ = s.WaitDrained(obj, o.WaitTimeout)
 		}
-	case consistency.Session:
+	case o.Level == consistency.Session:
 		if !o.MinTS.IsZero() && s.SafeTime().Less(o.MinTS) {
 			delayed = true
 			_, _ = s.WaitSafe(o.MinTS, o.WaitTimeout)
 		}
-	case consistency.Bounded:
+	case o.Level == consistency.Bounded:
 		if s.Staleness() > o.MaxStaleness {
 			delayed = true
 			_, _ = s.WaitStaleness(o.MaxStaleness, o.WaitTimeout)
@@ -119,12 +130,12 @@ func ReadAtSite(c *Cluster, site clock.SiteID, objects []string, o ReadOptions) 
 
 	// Snapshot phase: select the timestamp and read it lock-free.
 	snapStart := time.Now()
-	counter := divergence.NewCounter(o.Epsilon)
-	var ts clock.Timestamp
-	switch o.Level {
-	case consistency.Bounded:
+	ts := o.At
+	switch {
+	case !ts.IsZero():
+	case o.Level == consistency.Bounded:
 		ts = s.SafeTime()
-	case consistency.Session:
+	case o.Level == consistency.Session:
 		// Favor recency: a session write already applied at this site
 		// must be visible even while SAFETIME trails the applied
 		// watermark (read-your-writes beats snapshot conservatism).
@@ -135,52 +146,84 @@ func ReadAtSite(c *Cluster, site clock.SiteID, objects []string, o ReadOptions) 
 		if ts.Less(o.MinTS) {
 			ts = o.MinTS
 		}
-	case consistency.Strong:
+	case o.Level == consistency.Strong:
 		ts = s.Watermark()
 	}
-	vals := make(map[string]op.Value, len(sorted))
-	if !ts.IsZero() && (o.Level == consistency.Bounded || o.Level == consistency.Session) {
+	latest := ts == clock.Latest || (o.At.IsZero() && (o.Level == consistency.Strong || o.Level == consistency.Eventual))
+	if !latest && !ts.IsZero() {
 		pin := s.MV.Pin(ts)
 		defer s.MV.Unpin(pin)
 	}
+
+	// Under a Spec each charge must fit its object's own limit first.
+	spec := o.Spec.Default != 0 || len(o.Spec.PerObject) > 0
+	counter := divergence.NewCounter(o.Epsilon)
+	if spec {
+		counter = divergence.NewCounter(o.Spec.Total(objects))
+	}
+	price := o.Price
+	if price == nil {
+		price = func(obj string, baseline uint64) int { return OverlapCost(s, obj, baseline) }
+	}
+
+	vals := make(map[string]op.Value, len(sorted))
 	for _, obj := range sorted {
-		switch o.Level {
-		case consistency.Bounded:
-			price := OverlapCost(s, obj, baseline[obj])
-			if !counter.TryAdd(price) {
+		if o.Level == consistency.Bounded {
+			cost := price(obj, baseline[obj])
+			if (spec && !o.Spec.For(obj).Allows(cost)) || !counter.TryAdd(cost) {
 				// ε exhausted: drain this object's overlap away rather
-				// than import it, then re-read the advanced snapshot.
+				// than import it, then re-read the advanced state.
 				sm.QueryFallback.Inc()
-				c.Trace.Recordf(trace.QueryFallback, int(site), qid.String(), "obj=%s cost=%d", obj, price)
+				c.Trace.Recordf(trace.QueryFallback, int(site), qid.String(), "obj=%s cost=%d", obj, cost)
 				_ = s.WaitDrained(obj, o.WaitTimeout)
-				ts = s.SafeTime()
-			} else if price > 0 {
+				if o.At.IsZero() {
+					ts = s.SafeTime()
+				}
+			} else if cost > 0 {
 				sm.QueryCharged.Inc()
-				c.Trace.Recordf(trace.QueryCharged, int(site), qid.String(), "obj=%s cost=%d", obj, price)
+				c.Trace.Recordf(trace.QueryCharged, int(site), qid.String(), "obj=%s cost=%d", obj, cost)
 			}
-			vals[obj] = snapshotRead(s, obj, ts)
-		case consistency.Session:
-			vals[obj] = snapshotRead(s, obj, ts)
-		default: // Strong drained above; Eventual takes what is there.
+		}
+		switch {
+		case latest:
 			vals[obj] = latestRead(s, obj)
+		case o.At.IsZero():
+			vals[obj] = snapshotRead(s, obj, ts)
+		default:
+			// An explicit past timestamp reads the version chain alone:
+			// an object with no version at or below it did not exist yet.
+			v, _ := s.MV.ReadAt(obj, ts)
+			vals[obj] = v.Val
 		}
 		c.RecordQueryRead(qid, obj)
 	}
 	c.Trace.RecordSpan(trace.ReadSnap, int(site), qid.String(), 0, snapStart,
 		"level="+o.Level.String())
+	if o.Level == consistency.Bounded {
+		sm.EpsilonBudget.Set(int64(counter.Remaining())) // what the site's last bounded read had left
+	}
 
 	st := s.Staleness()
 	sm.ObserveStaleness(o.Level, st)
 	return et.QueryResult{
 		Values:        vals,
 		Inconsistency: counter.Count(),
-		Epsilon:       o.Epsilon,
+		Epsilon:       counter.Limit(),
 		Site:          site,
 		Level:         o.Level,
 		SnapTS:        ts,
 		Staleness:     st,
 		Waited:        waited,
 	}, nil
+}
+
+// OverlapCost is the default read-pricing rule: update ETs applied at the
+// site since the query began (epoch delta) plus update ETs queued but not
+// yet applied (staleness), both restricted to the object being read.
+// Together they count the update ETs the query overlaps on that object —
+// the §2.1 error bound.
+func OverlapCost(s *replica.Site, object string, baseline uint64) int {
+	return s.Pending(object) + int(s.Epoch(object)-baseline)
 }
 
 // snapshotRead answers one object from the multi-version store at ts,

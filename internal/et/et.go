@@ -208,11 +208,12 @@ type QueryResult struct {
 	Epsilon divergence.Limit
 	// Site is where the query executed.
 	Site clock.SiteID
-	// Level is the consistency level the read ran at (the unified read
-	// path sets it; legacy ε-only queries leave it at the zero level).
+	// Level is the consistency level the read ran at (bounded for
+	// ε-queries; RITU-MV and basic-TO queries leave it zero).
 	Level consistency.Level
 	// SnapTS is the snapshot timestamp the read selected (zero for
-	// latest-local reads).
+	// eventual reads, clock.Latest for ε-queries of the newest local
+	// state).
 	SnapTS clock.Timestamp
 	// Staleness is the site's wall-clock replica staleness observed at
 	// read time (age of the oldest accepted-but-unapplied update).

@@ -20,9 +20,9 @@
 //
 // Divergence bounding follows §3.1's inconsistency counter: each query ET
 // is charged one unit per overlapping update ET on the objects it reads;
-// once the counter would exceed ε, the remaining reads take update-class
-// (RU) locks so the query "is allowed to proceed only when it is running
-// in the global order".
+// once the counter would exceed ε, the remaining reads first drain the
+// object's queued updates, so the query "is allowed to proceed only when
+// it is running in the global order".
 package ordup
 
 import (
@@ -35,6 +35,7 @@ import (
 
 	"esr/internal/clock"
 	"esr/internal/coherency"
+	"esr/internal/consistency"
 	"esr/internal/core"
 	"esr/internal/divergence"
 	"esr/internal/et"
@@ -402,19 +403,19 @@ func (e *Engine) UpdateBurst(origin clock.SiteID, bursts [][]op.Op) ([]et.ID, er
 
 // Query executes a query ET at the given site under an ε limit.  Reads
 // are priced by their overlap with update ETs (§3.1's inconsistency
-// counter); past ε the query joins the global order via RU locks.
+// counter); past ε the query drains and joins the global order.
 func (e *Engine) Query(site clock.SiteID, objects []string, eps divergence.Limit) (et.QueryResult, error) {
 	if e.cfg.Scheduler == TimestampOrdering {
 		return e.queryTO(site, objects, eps)
 	}
-	return core.QueryAtSite(e.c, site, objects, eps, core.OverlapCost)
+	return core.ReadAtSite(e.c, site, objects, core.ReadOptions{Level: consistency.Bounded, Epsilon: eps, At: clock.Latest})
 }
 
 // QuerySpec executes a query ET under a per-object ε specification
 // (spatial consistency): each object's read is bounded by its own
 // budget.
 func (e *Engine) QuerySpec(site clock.SiteID, objects []string, spec divergence.Spec) (et.QueryResult, error) {
-	return core.QueryAtSiteSpec(e.c, site, objects, spec, core.OverlapCost)
+	return core.ReadAtSite(e.c, site, objects, core.ReadOptions{Level: consistency.Bounded, Spec: spec, At: clock.Latest})
 }
 
 // Outstanding reports the number of update ETs not yet applied at every

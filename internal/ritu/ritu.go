@@ -195,36 +195,26 @@ func (e *Engine) UpdateBurst(origin clock.SiteID, bursts [][]op.Op) ([]et.ID, er
 // return the current value — the paper's "no divergence since by
 // definition all the reads request the latest version".
 func (e *Engine) Query(site clock.SiteID, objects []string, eps divergence.Limit) (et.QueryResult, error) {
+	if e.cfg.Mode == SingleVersion {
+		// RITU reads "simply return the current value": an eventual read.
+		return core.ReadAtSite(e.c, site, objects, core.ReadOptions{Epsilon: eps})
+	}
 	s := e.c.Site(site)
 	if s == nil {
 		return et.QueryResult{}, fmt.Errorf("ritu: unknown site %v", site)
 	}
 	qid := e.c.NextET(site)
-	if e.cfg.Mode == SingleVersion {
-		// Lock-free: RITU reads "simply return the current value" — the
-		// RQ locks this path used to take never conflicted under the ET
-		// tables, so the read needs no lock-manager round trip at all.
-		vals := make(map[string]op.Value, len(objects))
-		sorted := append([]string(nil), objects...)
-		sort.Strings(sorted)
-		for _, obj := range sorted {
-			vals[obj] = s.Store.Get(obj)
-			e.c.RecordQueryRead(qid, obj)
-		}
-		return et.QueryResult{Values: vals, Epsilon: eps, Site: site}, nil
-	}
-
 	counter := divergence.NewCounter(eps)
-	vtnc := e.VTNC()
-	s.MV.SetVTNC(vtnc)
-	vals := make(map[string]op.Value, len(objects))
+	s.MV.SetVTNC(e.VTNC())
+	// Charge in sorted order so the accounting is deterministic across runs.
+	sorted := append([]string(nil), objects...)
+	sort.Strings(sorted)
+	vals := make(map[string]op.Value, len(sorted))
 	sm := e.c.SiteMetrics(site)
-	for _, obj := range objects {
+	for _, obj := range sorted {
 		latest, beyond, ok := s.MV.ReadLatest(obj)
 		switch {
-		case !ok:
-			vals[obj] = op.Value{}
-		case !beyond:
+		case !ok, !beyond: // a missing object reads as the zero Value
 			vals[obj] = latest.Val
 		case counter.TryAdd(1):
 			// "Each time a query ET reads such a version its
@@ -235,11 +225,8 @@ func (e *Engine) Query(site clock.SiteID, objects []string, eps divergence.Limit
 		default:
 			// ε exhausted: "not allowing reading versions that are
 			// newer than VTNC".
-			if vis, ok := s.MV.ReadVisible(obj); ok {
-				vals[obj] = vis.Val
-			} else {
-				vals[obj] = op.Value{}
-			}
+			vis, _ := s.MV.ReadVisible(obj)
+			vals[obj] = vis.Val
 			sm.QueryFallback.Inc()
 			e.c.Trace.Recordf(trace.QueryFallback, int(site), qid.String(), "obj=%s", obj)
 		}
@@ -273,21 +260,10 @@ func (e *Engine) QueryAt(site clock.SiteID, objects []string, ts clock.Timestamp
 	if e.cfg.Mode != MultiVersion {
 		return et.QueryResult{}, fmt.Errorf("ritu: QueryAt requires multi-version mode")
 	}
-	s := e.c.Site(site)
-	if s == nil {
-		return et.QueryResult{}, fmt.Errorf("ritu: unknown site %v", site)
+	if ts.IsZero() {
+		ts.Site = 1 // a zero At means "unset"; no version is stamped at time 0 either way
 	}
-	qid := e.c.NextET(site)
-	vals := make(map[string]op.Value, len(objects))
-	for _, obj := range objects {
-		if v, ok := s.MV.ReadAt(obj, ts); ok {
-			vals[obj] = v.Val
-		} else {
-			vals[obj] = op.Value{}
-		}
-		e.c.RecordQueryRead(qid, obj)
-	}
-	return et.QueryResult{Values: vals, Site: site}, nil
+	return core.ReadAtSite(e.c, site, objects, core.ReadOptions{At: ts})
 }
 
 // AppliedAt reports whether the update ET has been applied at the given

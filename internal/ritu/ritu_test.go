@@ -233,6 +233,32 @@ func TestQueryBudgetSharedAcrossObjects(t *testing.T) {
 	quiesce(t, e)
 }
 
+// TestQueryChargesInSortedOrder: which object an exhausted budget
+// refuses must not depend on the caller's argument order.
+func TestQueryChargesInSortedOrder(t *testing.T) {
+	e := newEngine(t, 2, MultiVersion, network.Config{Seed: 1})
+	c := e.Cluster()
+	e.Update(1, []op.Op{op.WriteOp("a", 1), op.WriteOp("b", 1)})
+	quiesce(t, e)
+	c.Net.Partition([]clock.SiteID{1, core.SequencerSite}, []clock.SiteID{2})
+	e.Update(1, []op.Op{op.WriteOp("a", 2), op.WriteOp("b", 2)})
+	deadline := time.Now().Add(time.Second)
+	for len(c.Site(1).MV.Versions("b")) < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	for _, objs := range [][]string{{"a", "b"}, {"b", "a"}} {
+		res, err := e.Query(1, objs, 1)
+		if err != nil {
+			t.Fatalf("Query(%v): %v", objs, err)
+		}
+		if !res.Value("a").Equal(op.NumValue(2)) || !res.Value("b").Equal(op.NumValue(1)) {
+			t.Errorf("Query(%v) = %v, want the fresh a and the stable b", objs, res.Values)
+		}
+	}
+	c.Net.Heal()
+	quiesce(t, e)
+}
+
 func TestGC(t *testing.T) {
 	e := newEngine(t, 2, MultiVersion, network.Config{Seed: 1})
 	for i := 0; i < 5; i++ {

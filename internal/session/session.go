@@ -163,6 +163,7 @@ func (s *S) Read(site clock.SiteID, objects []string) (et.QueryResult, error) {
 	}
 	res, err := core.ReadAtSite(s.eng.Cluster(), site, objects, core.ReadOptions{
 		Level:       consistency.Session,
+		Epsilon:     divergence.Unlimited,
 		WaitTimeout: s.cfg.WaitTimeout,
 	})
 	if err != nil {

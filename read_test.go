@@ -123,7 +123,7 @@ func TestReadBoundedStaleness(t *testing.T) {
 		}
 	}
 	for i := 0; i < 20; i++ {
-		res, err := c.ReadWith(2, []string{"x"}, ReadOptions{Level: LevelBounded, MaxStaleness: dt})
+		res, err := c.ReadWith(2, []string{"x"}, ReadOptions{Level: LevelBounded, Epsilon: Unlimited, MaxStaleness: dt})
 		if err != nil {
 			t.Fatalf("bounded read: %v", err)
 		}
