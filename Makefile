@@ -9,11 +9,12 @@ GO ?= go
 
 # Packages whose goroutine/lock structure warrants the race detector on
 # every run: the lock manager, the simulated network, the stable queues,
-# the group-commit WAL, the transaction core, the replica state machine,
-# the metrics registry every one of them writes concurrently, and the
-# analysis engine whose CFG/call-graph/fixpoint tests exercise shared
-# structures.
-RACE_PKGS := ./internal/lock/... ./internal/network/... ./internal/queue/... ./internal/wal/... ./internal/core/... ./internal/replica/... ./internal/metrics/... ./internal/analysis/... ./internal/seqrep/... ./internal/ordup/...
+# the group-commit WAL, the transaction core and its write path, the
+# replica state machine, the metrics registry every one of them writes
+# concurrently, the analysis engine whose CFG/call-graph/fixpoint tests
+# exercise shared structures, the replicated sequencer, and the four
+# method engines driving the write path.
+RACE_PKGS := ./internal/lock/... ./internal/network/... ./internal/queue/... ./internal/wal/... ./internal/core/... ./internal/replica/... ./internal/metrics/... ./internal/analysis/... ./internal/seqrep/... ./internal/ordup/... ./internal/commu/... ./internal/ritu/... ./internal/compe/...
 
 .PHONY: all build test race vet esrvet esrvet-baseline esrvet-self check bench bench-compare node smoke-node smoke-chaos fuzz clean
 

@@ -322,8 +322,7 @@ func (e *Engine) voteWeight(id clock.SiteID) int {
 }
 
 func (e *Engine) updateQuorum(origin clock.SiteID, tx lock.TxID, ops []op.Op) error {
-	objs := distinctObjects(ops)
-	sort.Strings(objs)
+	objs := op.Objects(ops, false)
 	locked := make(map[clock.SiteID]bool)
 	release := func() {
 		for sid := range locked {
@@ -470,8 +469,7 @@ func (e *Engine) serve(site clock.SiteID, payload []byte) ([]byte, error) {
 	var resp response
 	switch req.Kind {
 	case "prepare":
-		objs := distinctObjects(req.Ops)
-		sort.Strings(objs)
+		objs := op.Objects(req.Ops, false)
 		for _, obj := range objs {
 			// 2PC participant: prepare locks are deliberately held past
 			// this handler and released by the later commit/abort message.
@@ -586,16 +584,4 @@ func (e *Engine) count(f func(*Stats)) {
 	e.mu.Lock()
 	f(&e.stats)
 	e.mu.Unlock()
-}
-
-func distinctObjects(ops []op.Op) []string {
-	seen := make(map[string]bool, len(ops))
-	var out []string
-	for _, o := range ops {
-		if o.Kind.IsUpdate() && !seen[o.Object] {
-			seen[o.Object] = true
-			out = append(out, o.Object)
-		}
-	}
-	return out
 }

@@ -21,9 +21,7 @@ package commu
 
 import (
 	"errors"
-	"fmt"
-	"sort"
-	"sync"
+	"slices"
 	"time"
 
 	"esr/internal/clock"
@@ -50,26 +48,18 @@ var (
 	ErrThrottled = errors.New("commu: lock-counter limit wait timed out")
 )
 
-// family is the commutativity class an object is locked into.
-type family int
-
-const (
-	famNone family = iota
-	famAdditive
-	famMultiplicative
-	famUAppend
-)
-
-func familyOf(k op.Kind) family {
+// familyOf names the commutativity family an object is locked into by
+// its representative kind; op.Read means the kind is in none.
+func familyOf(k op.Kind) op.Kind {
 	switch k {
 	case op.Increment, op.Decrement:
-		return famAdditive
-	case op.Multiply:
-		return famMultiplicative
-	case op.UnorderedAppend, op.RemoveOne:
-		return famUAppend
+		return op.Increment
+	case op.Multiply, op.UnorderedAppend:
+		return k
+	case op.RemoveOne:
+		return op.UnorderedAppend
 	default:
-		return famNone
+		return op.Read
 	}
 }
 
@@ -88,24 +78,13 @@ type Config struct {
 	ThrottleTimeout time.Duration
 }
 
-// flight tracks one in-flight update ET: the objects it touches, their
-// absolute numeric deltas (for value-bounded queries), and the sites
-// that have not yet applied it.
-type flight struct {
-	objs    []string
-	drift   map[string]int64
-	pending map[clock.SiteID]bool
-}
-
 // Engine is the COMMU replica-control engine.
 type Engine struct {
-	cfg Config
-	c   *core.Cluster
+	*core.Flights // in-flight ETs: the §3.2 lock-counters
 
-	mu       sync.Mutex
-	families map[string]family
-	inflight map[et.ID]*flight
-	perObj   map[string]map[et.ID]bool // object -> in-flight ETs touching it
+	cfg    Config
+	c      *core.Cluster
+	method core.Method
 }
 
 // New builds and starts a COMMU engine.
@@ -118,15 +97,22 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		cfg:      cfg,
-		c:        c,
-		families: make(map[string]family),
-		inflight: make(map[et.ID]*flight),
-		perObj:   make(map[string]map[et.ID]bool),
+	e := &Engine{Flights: core.NewFlights(c, nil), cfg: cfg, c: c}
+	// Table 1's COMMU row: no order; an update is admitted only within its
+	// objects' commutativity families, and each object's WU lock carries
+	// its first op so the COMMU table judges commutativity.
+	e.method = core.Method{
+		NotUpdate: ErrNotUpdate,
+		Family:    familyOf,
+		FamilyErr: ErrNotCommutative,
+		LockFirst: true,
+		Flights:   e.Flights,
+	}
+	if cfg.CounterLimit > 0 {
+		e.method.Admit = e.throttle
 	}
 	c.Setup(func(s *replica.Site) replica.ApplyFunc {
-		return func(m et.MSet) error { return e.apply(s, m) }
+		return func(m et.MSet) error { return e.method.Apply(s, m, nil) }
 	})
 	return e, nil
 }
@@ -165,205 +151,68 @@ func (e *Engine) Update(origin clock.SiteID, ops []op.Op) (et.ID, error) {
 // then all MSets leave as a single batch per destination (one journal
 // fsync per link on durable clusters).  Commutativity makes the batch
 // boundary invisible to correctness — order within the burst doesn't
-// matter — so this is pure propagation amortisation.
+// matter — so this is pure propagation amortisation.  A rejected burst
+// pins no family.
+//
+// Every in-flight ET counts on its objects' lock-counters: "When
+// updating an object, the U^ET increments the object lock-counter by
+// one"; once every site has applied it, "all the lock-counters are
+// decremented" (§3.2).
 func (e *Engine) UpdateBurst(origin clock.SiteID, bursts [][]op.Op) ([]et.ID, error) {
-	if len(bursts) == 0 {
-		return nil, nil
-	}
-	s := e.c.Site(origin)
-	if s == nil {
-		return nil, fmt.Errorf("commu: unknown site %v", origin)
-	}
-	allUpdates := make([][]op.Op, len(bursts))
-	for i, ops := range bursts {
-		updates := make([]op.Op, 0, len(ops))
+	return e.c.Submit(origin, bursts, &e.method)
+}
+
+// inFlight reports, over the ETs in flight that the site has not applied
+// (site 0: not yet applied everywhere), how many touch the object and the
+// absolute numeric drift their ops on it carry.  Multiplicative drift is
+// value-dependent, so it is charged as a large sentinel that sends
+// value-bounded queries down the conservative path.
+func (e *Engine) inFlight(site clock.SiteID, object string) (n int, drift int64) {
+	e.Each(site, func(ops []op.Op) {
+		hit := false
 		for _, o := range ops {
-			if o.Kind.IsUpdate() {
-				updates = append(updates, o)
+			if o.Object != object {
+				continue
+			}
+			hit = true
+			switch o.Kind {
+			case op.Increment, op.Decrement:
+				drift += abs64(o.Arg)
+			case op.Multiply:
+				drift += 1 << 40
+			default:
+				drift++
 			}
 		}
-		if len(updates) == 0 {
-			return nil, ErrNotUpdate
-		}
-		if err := e.reserveFamilies(updates); err != nil {
-			return nil, err
-		}
-		allUpdates[i] = updates
-	}
-	if e.cfg.CounterLimit > 0 {
-		for _, updates := range allUpdates {
-			if err := e.throttle(updates); err != nil {
-				return nil, err
-			}
-		}
-	}
-	ids := make([]et.ID, len(bursts))
-	msets := make([]et.MSet, len(bursts))
-	for i, updates := range allUpdates {
-		id := e.c.NextET(origin)
-		ids[i] = id
-		e.trackFlight(id, updates)
-		msets[i] = et.MSet{ET: id, Origin: origin, TS: s.Clock.Tick(), Ops: updates}
-		e.c.RecordUpdate(id, bursts[i])
-	}
-	if err := e.c.BroadcastAll(msets); err != nil {
-		return nil, err
-	}
-	return ids, nil
-}
-
-// trackFlight registers the ET's lock-counters: "When updating an object,
-// the U^ET increments the object lock-counter by one" (§3.2).  The
-// counters drop once every site has applied the MSet.
-func (e *Engine) trackFlight(id et.ID, updates []op.Op) {
-	f := &flight{
-		objs:    distinctObjects(updates),
-		drift:   make(map[string]int64),
-		pending: make(map[clock.SiteID]bool),
-	}
-	for _, o := range updates {
-		switch o.Kind {
-		case op.Increment:
-			f.drift[o.Object] += abs64(o.Arg)
-		case op.Decrement:
-			f.drift[o.Object] += abs64(o.Arg)
-		case op.Multiply:
-			// Multiplicative drift is value-dependent; treat it as
-			// unbounded by charging a large sentinel so value-bounded
-			// queries always take the conservative path.
-			f.drift[o.Object] += 1 << 40
-		default:
-			f.drift[o.Object]++
-		}
-	}
-	for _, sid := range e.c.SiteIDs() {
-		f.pending[sid] = true
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.inflight[id] = f
-	for _, obj := range f.objs {
-		if e.perObj[obj] == nil {
-			e.perObj[obj] = make(map[et.ID]bool)
-		}
-		e.perObj[obj][id] = true
-	}
-}
-
-// noteApplied marks the ET applied at one site; when the last site
-// applies it, its lock-counters are decremented ("At the end of U^ET
-// execution all the lock-counters are decremented").
-func (e *Engine) noteApplied(id et.ID, site clock.SiteID) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	f := e.inflight[id]
-	if f == nil {
-		return
-	}
-	delete(f.pending, site)
-	if len(f.pending) > 0 {
-		return
-	}
-	delete(e.inflight, id)
-	for _, obj := range f.objs {
-		delete(e.perObj[obj], id)
-		if len(e.perObj[obj]) == 0 {
-			delete(e.perObj, obj)
-		}
-	}
-}
-
-// invisibleAt counts in-flight update ETs touching the object that the
-// given site has not yet applied — committed updates a local read would
-// miss.
-func (e *Engine) invisibleAt(site clock.SiteID, object string) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := 0
-	for id := range e.perObj[object] {
-		if f := e.inflight[id]; f != nil && f.pending[site] {
+		if hit {
 			n++
 		}
-	}
-	return n
+	})
+	return n, drift
 }
 
-// reserveFamilies validates commutativity and pins each object's family.
-func (e *Engine) reserveFamilies(updates []op.Op) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	// Validate everything before mutating, so a rejected ET leaves no
-	// partial family reservations behind.
-	staged := make(map[string]family, len(updates))
-	for _, o := range updates {
-		f := familyOf(o.Kind)
-		if f == famNone {
-			return fmt.Errorf("%w: %v", ErrNotCommutative, o)
+// throttle implements the §3.2 update-limiting variant: each ET of the
+// burst waits until every object it touches has a lock-counter below the
+// limit.
+func (e *Engine) throttle(updates [][]op.Op) error {
+	for _, ops := range updates {
+		objs := op.Objects(ops, false)
+		deadline := time.Now().Add(e.cfg.ThrottleTimeout)
+		for slices.ContainsFunc(objs, func(obj string) bool { return e.CounterValue(obj) >= e.cfg.CounterLimit }) {
+			if time.Now().After(deadline) {
+				return ErrThrottled
+			}
+			time.Sleep(100 * time.Microsecond)
 		}
-		cur, ok := staged[o.Object]
-		if !ok {
-			cur = e.families[o.Object]
-		}
-		if cur != famNone && cur != f {
-			return fmt.Errorf("%w: %v conflicts with the object's established operation family",
-				ErrNotCommutative, o)
-		}
-		staged[o.Object] = f
-	}
-	for obj, f := range staged {
-		e.families[obj] = f
 	}
 	return nil
-}
-
-// throttle implements the §3.2 update-limiting variant: wait until every
-// touched object's lock-counter (in-flight update ETs, measured as the
-// largest queued-unapplied count across sites) is below the limit.
-func (e *Engine) throttle(updates []op.Op) error {
-	objs := distinctObjects(updates)
-	deadline := time.Now().Add(e.cfg.ThrottleTimeout)
-	for {
-		over := false
-		for _, obj := range objs {
-			if e.CounterValue(obj) >= e.cfg.CounterLimit {
-				over = true
-				break
-			}
-		}
-		if !over {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return ErrThrottled
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
-// AppliedEverywhere reports whether the update ET has been applied at
-// every site.  Unknown IDs report true (they are not in flight).
-func (e *Engine) AppliedEverywhere(id et.ID) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, inflight := e.inflight[id]
-	return !inflight
-}
-
-// AppliedAt reports whether the update ET has been applied at the given
-// site.  Unknown IDs report true.
-func (e *Engine) AppliedAt(id et.ID, site clock.SiteID) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	f, ok := e.inflight[id]
-	return !ok || !f.pending[site]
 }
 
 // CounterValue reports the object's lock-counter: the number of update
 // ETs that have committed but are not yet applied at every site.
 func (e *Engine) CounterValue(object string) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.perObj[object])
+	n, _ := e.inFlight(0, object)
+	return n
 }
 
 // Query executes a query ET at the given site under an ε limit.  Reads
@@ -387,7 +236,8 @@ func (e *Engine) QuerySpec(site clock.SiteID, objects []string, spec divergence.
 func (e *Engine) price(site clock.SiteID) func(string, uint64) int {
 	s := e.c.Site(site)
 	return func(obj string, baseline uint64) int {
-		return e.invisibleAt(site, obj) + int(s.Epoch(obj)-baseline)
+		n, _ := e.inFlight(site, obj)
+		return n + int(s.Epoch(obj)-baseline)
 	}
 }
 
@@ -403,60 +253,6 @@ func (e *Engine) RestartSite(id clock.SiteID) error {
 
 // Close implements core.Engine.
 func (e *Engine) Close() error { return e.c.Close() }
-
-func (e *Engine) apply(s *replica.Site, m et.MSet) error {
-	tx := lock.TxID(m.ET)
-	objs := distinctObjects(m.Ops)
-	sort.Strings(objs)
-	for _, obj := range objs {
-		// The WU lock request carries the first op on the object so the
-		// COMMU table can evaluate commutativity against other holders.
-		if err := s.Locks.Acquire(tx, lock.WU, firstOpOn(m.Ops, obj)); err != nil {
-			s.Locks.ReleaseAll(tx)
-			return fmt.Errorf("commu: apply lock on %q: %w", obj, err)
-		}
-		s.Locks.IncCounter(obj)
-	}
-	vers := make(map[string]op.Value, len(objs))
-	for _, o := range m.Ops {
-		v := s.Store.Apply(o)
-		if o.Kind.IsUpdate() {
-			vers[o.Object] = v
-		}
-	}
-	// Dual-write into the multi-version store for snapshot reads
-	// (idempotent at the same TS, covering redelivery).
-	for obj, v := range vers {
-		s.MV.InstallMonotone(obj, m.TS, v)
-	}
-	for _, obj := range objs {
-		s.Locks.DecCounter(obj)
-	}
-	s.Locks.ReleaseAll(tx)
-	e.noteApplied(m.ET, s.ID)
-	return nil
-}
-
-func distinctObjects(ops []op.Op) []string {
-	seen := make(map[string]bool, len(ops))
-	var out []string
-	for _, o := range ops {
-		if o.Kind.IsUpdate() && !seen[o.Object] {
-			seen[o.Object] = true
-			out = append(out, o.Object)
-		}
-	}
-	return out
-}
-
-func firstOpOn(ops []op.Op, object string) op.Op {
-	for _, o := range ops {
-		if o.Object == object && o.Kind.IsUpdate() {
-			return o
-		}
-	}
-	return op.Op{Kind: op.Write, Object: object}
-}
 
 func abs64(n int64) int64 {
 	if n < 0 {

@@ -138,6 +138,13 @@ func TestRejectsFamilyConflicts(t *testing.T) {
 	if _, err := e.Update(1, []op.Op{op.MulOp("z", 2)}); err != nil {
 		t.Errorf("z family must remain unreserved after rejection: %v", err)
 	}
+	// So must a rejected burst, for the ETs before the one that failed.
+	if _, err := e.UpdateBurst(1, [][]op.Op{{op.IncOp("w", 1)}, {op.IncOp("u", 1), op.MulOp("u", 2)}}); !errors.Is(err, ErrNotCommutative) {
+		t.Errorf("burst with a mixed-family ET = %v, want ErrNotCommutative", err)
+	}
+	if _, err := e.Update(1, []op.Op{op.MulOp("w", 2)}); err != nil {
+		t.Errorf("w family must remain unreserved after the burst's rejection: %v", err)
+	}
 }
 
 func TestQueryBoundedByEpsilon(t *testing.T) {

@@ -48,15 +48,6 @@ func (e *Engine) QueryNumeric(site clock.SiteID, objects []string, maxDrift int6
 // invisibleDriftAt sums the absolute additive deltas of in-flight update
 // ETs touching the object that the site has not yet applied.
 func (e *Engine) invisibleDriftAt(site clock.SiteID, object string) int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var drift int64
-	for id := range e.perObj[object] {
-		f := e.inflight[id]
-		if f == nil || !f.pending[site] {
-			continue
-		}
-		drift += f.drift[object]
-	}
+	_, drift := e.inFlight(site, object)
 	return drift
 }

@@ -28,9 +28,7 @@ package compe
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
-	"time"
 
 	"esr/internal/clock"
 	"esr/internal/consistency"
@@ -120,14 +118,14 @@ type siteLog struct {
 
 // Engine is the COMPE replica-control engine.
 type Engine struct {
-	cfg Config
-	c   *core.Cluster
+	cfg    Config
+	c      *core.Cluster
+	method core.Method
 
-	mu       sync.Mutex
-	status   map[et.ID]status
-	ops      map[et.ID][]op.Op // forward ops, for commit/abort bookkeeping
-	families map[string]op.Kind
-	stats    Stats
+	mu     sync.Mutex
+	status map[et.ID]status
+	objs   map[et.ID][]string // objects each forward ET updates, for commit bookkeeping
+	stats  Stats
 
 	logs map[clock.SiteID]*siteLog
 }
@@ -140,15 +138,31 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:      cfg,
-		c:        c,
-		status:   make(map[et.ID]status),
-		ops:      make(map[et.ID][]op.Op),
-		families: make(map[string]op.Kind),
-		logs:     make(map[clock.SiteID]*siteLog),
+		cfg:    cfg,
+		c:      c,
+		status: make(map[et.ID]status),
+		objs:   make(map[et.ID][]string),
+		logs:   make(map[clock.SiteID]*siteLog),
 	}
 	for _, id := range c.SiteIDs() {
 		e.logs[id] = &siteLog{risk: make(map[string]int), nextSeq: 1, applied: make(map[et.ID]bool)}
+	}
+	// Table 1's COMPENSATION row: every update op must be compensatable.
+	// Commutative mode pins each object to one commutative family; general
+	// mode's forward MSets do not commute, so they take one global order
+	// — §4.2 pairs full-log rollback with ORDUP-style processing ("This
+	// is the case with ORDUP operations").
+	e.method = core.Method{NotUpdate: ErrNotUpdate, AdmitOp: e.admissible, LockFirst: true}
+	if cfg.Mode == General {
+		e.method.Order = core.Sequenced
+	} else {
+		e.method.Family = func(k op.Kind) op.Kind {
+			if k == op.Decrement {
+				return op.Increment // one additive family
+			}
+			return k
+		}
+		e.method.FamilyErr = ErrNotCompensatable
 	}
 	c.Setup(func(s *replica.Site) replica.ApplyFunc {
 		sl := e.logs[s.ID]
@@ -188,16 +202,11 @@ func (e *Engine) Stats() Stats {
 // Update implements core.Engine: a tentative update followed (when
 // AutoCommit is set) by an immediate commit.
 func (e *Engine) Update(origin clock.SiteID, ops []op.Op) (et.ID, error) {
-	id, err := e.Begin(origin, ops)
+	ids, err := e.UpdateBurst(origin, [][]op.Op{ops})
 	if err != nil {
 		return 0, err
 	}
-	if e.cfg.AutoCommit {
-		if err := e.Commit(id); err != nil {
-			return 0, err
-		}
-	}
-	return id, nil
+	return ids[0], nil
 }
 
 // UpdateBurst executes a burst of update ETs at origin as one
@@ -207,21 +216,24 @@ func (e *Engine) Update(origin clock.SiteID, ops []op.Op) (et.ID, error) {
 // per update.
 func (e *Engine) UpdateBurst(origin clock.SiteID, bursts [][]op.Op) ([]et.ID, error) {
 	ids, err := e.BeginBurst(origin, bursts)
-	if err != nil {
-		return nil, err
+	if err != nil || !e.cfg.AutoCommit {
+		return ids, err
 	}
-	if e.cfg.AutoCommit {
-		recs := make([]et.MSet, 0, len(ids))
-		for _, id := range ids {
-			if err := e.resolve(id, committed); err != nil {
-				return nil, err
-			}
-			recs = append(recs, et.MSet{ET: e.c.NextET(origin), Origin: origin, Target: id,
-				TS: e.c.Site(origin).Clock.Tick()})
-		}
-		if err := e.c.BroadcastAll(recs); err != nil {
+	return e.commitAll(ids)
+}
+
+// commitAll commits a burst of tentative ETs with one batch of commit
+// records.
+func (e *Engine) commitAll(ids []et.ID) ([]et.ID, error) {
+	recs := make([]et.MSet, len(ids))
+	for i, id := range ids {
+		var err error
+		if recs[i], err = e.resolve(id, committed); err != nil {
 			return nil, err
 		}
+	}
+	if err := e.c.BroadcastAll(recs); err != nil {
+		return nil, err
 	}
 	return ids, nil
 }
@@ -231,72 +243,9 @@ func (e *Engine) UpdateBurst(origin clock.SiteID, bursts [][]op.Op) ([]et.ID, er
 // independent saga step; in General mode the burst reserves its forward
 // sequence range in a single order-server round trip.
 func (e *Engine) BeginBurst(origin clock.SiteID, bursts [][]op.Op) ([]et.ID, error) {
-	if len(bursts) == 0 {
-		return nil, nil
-	}
-	s := e.c.Site(origin)
-	if s == nil {
-		return nil, fmt.Errorf("compe: unknown site %v", origin)
-	}
-	allUpdates := make([][]op.Op, len(bursts))
-	for i, ops := range bursts {
-		var updates []op.Op
-		for _, o := range ops {
-			if !o.Kind.IsUpdate() {
-				continue
-			}
-			if err := e.admissible(o); err != nil {
-				return nil, err
-			}
-			updates = append(updates, o)
-		}
-		if len(updates) == 0 {
-			return nil, ErrNotUpdate
-		}
-		if e.cfg.Mode == Commutative {
-			if err := e.reserveFamilies(updates); err != nil {
-				return nil, err
-			}
-		}
-		allUpdates[i] = updates
-	}
-	// In General mode forward MSets do not commute, so sites must apply
-	// them in one global order or the replicas would diverge regardless
-	// of compensation — §4.2 pairs full-log rollback with ORDUP-style
-	// processing ("This is the case with ORDUP operations").
-	var seq0 uint64
-	var seqT0 time.Time
-	if e.cfg.Mode == General {
-		var err error
-		seqT0 = time.Now()
-		seq0, err = e.c.NextSeqN(origin, uint64(len(bursts)))
-		if err != nil {
-			return nil, err
-		}
-	}
-	ids := make([]et.ID, len(bursts))
-	msets := make([]et.MSet, len(bursts))
-	for i, updates := range allUpdates {
-		id := e.c.NextET(origin)
-		ids[i] = id
-		e.mu.Lock()
-		e.status[id] = tentative
-		e.ops[id] = updates
-		e.mu.Unlock()
-		var seq uint64
-		if e.cfg.Mode == General {
-			seq = seq0 + uint64(i)
-		}
-		msets[i] = et.MSet{ET: id, Origin: origin, Seq: seq, TS: s.Clock.Tick(), Ops: updates}
-		e.c.RecordUpdate(id, bursts[i])
-	}
-	if err := e.c.BroadcastAll(msets); err != nil {
-		return nil, err
-	}
-	if e.cfg.Mode == General {
-		e.c.RecordSequenceSpan(origin, msets, seqT0)
-	}
-	return ids, nil
+	ids, err := e.c.Submit(origin, bursts, &e.method)
+	e.begun(ids, bursts)
+	return ids, err
 }
 
 // Begin executes a tentative update ET at origin: its MSet propagates and
@@ -310,32 +259,14 @@ func (e *Engine) Begin(origin clock.SiteID, ops []op.Op) (et.ID, error) {
 	return ids[0], nil
 }
 
-// reserveFamilies pins each object to one commutative operation kind
-// class (additive or unordered-append), rejecting cross-family mixes
-// that would not commute.
-func (e *Engine) reserveFamilies(updates []op.Op) error {
+// begun registers submitted ETs as tentative saga steps.
+func (e *Engine) begun(ids []et.ID, bursts [][]op.Op) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	staged := make(map[string]op.Kind, len(updates))
-	for _, o := range updates {
-		class := o.Kind
-		if class == op.Decrement {
-			class = op.Increment // one additive family
-		}
-		cur, ok := staged[o.Object]
-		if !ok {
-			cur, ok = e.families[o.Object]
-		}
-		if ok && cur != class {
-			return fmt.Errorf("%w: %v conflicts with the object's operation family",
-				ErrNotCompensatable, o)
-		}
-		staged[o.Object] = class
+	for i, id := range ids {
+		e.status[id] = tentative
+		e.objs[id] = op.Objects(bursts[i], false)
 	}
-	for obj, k := range staged {
-		e.families[obj] = k
-	}
-	return nil
 }
 
 // admissible validates one update operation against the mode.
@@ -356,43 +287,46 @@ func (e *Engine) admissible(o op.Op) error {
 // Commit resolves a tentative ET as globally committed and broadcasts
 // its commit record, releasing lock-counters (and enabling log
 // truncation) as the record reaches each site.
-func (e *Engine) Commit(id et.ID) error {
-	if err := e.resolve(id, committed); err != nil {
-		return err
-	}
-	rec := et.MSet{ET: e.c.NextET(id.Origin()), Origin: id.Origin(), Target: id,
-		TS: e.c.Site(id.Origin()).Clock.Tick()}
-	return e.c.Broadcast(rec)
-}
+func (e *Engine) Commit(id et.ID) error { return e.finish(id, committed) }
 
 // Abort resolves a tentative ET as globally aborted and broadcasts its
 // compensation MSet; every site undoes the ET locally per §4.2.
-func (e *Engine) Abort(id et.ID) error {
-	if err := e.resolve(id, aborted); err != nil {
+func (e *Engine) Abort(id et.ID) error { return e.finish(id, aborted) }
+
+// finish resolves a tentative ET and broadcasts the record carrying the
+// outcome.
+func (e *Engine) finish(id et.ID, to status) error {
+	rec, err := e.resolve(id, to)
+	if err != nil {
 		return err
 	}
-	rec := et.MSet{ET: e.c.NextET(id.Origin()), Origin: id.Origin(), Target: id,
-		Compensation: true, TS: e.c.Site(id.Origin()).Clock.Tick()}
 	return e.c.Broadcast(rec)
 }
 
-func (e *Engine) resolve(id et.ID, to status) error {
+// resolve marks a tentative ET committed or aborted and returns the
+// record that carries the outcome to every site: a commit record, or the
+// compensation MSet.
+func (e *Engine) resolve(id et.ID, to status) (et.MSet, error) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	st, ok := e.status[id]
-	if !ok {
-		return ErrUnknownET
+	if ok && st == tentative {
+		e.status[id] = to
+		if to == committed {
+			e.stats.Commits++
+		} else {
+			e.stats.Aborts++
+		}
 	}
-	if st != tentative {
-		return fmt.Errorf("%w: %v", ErrAlreadyResolved, id)
+	e.mu.Unlock()
+	switch {
+	case !ok:
+		return et.MSet{}, ErrUnknownET
+	case st != tentative:
+		return et.MSet{}, fmt.Errorf("%w: %v", ErrAlreadyResolved, id)
 	}
-	e.status[id] = to
-	if to == committed {
-		e.stats.Commits++
-	} else {
-		e.stats.Aborts++
-	}
-	return nil
+	origin := id.Origin()
+	return et.MSet{ET: e.c.NextET(origin), Origin: origin, Target: id,
+		Compensation: to == aborted, TS: e.c.Site(origin).Clock.Tick()}, nil
 }
 
 // Query executes a query ET under an ε limit.  Reads are priced by their
@@ -443,55 +377,40 @@ func (e *Engine) apply(s *replica.Site, sl *siteLog, m et.MSet) error {
 	}
 }
 
-// applyForward optimistically applies a tentative MSet and remembers it.
-// In General mode forward MSets apply in global sequence order.
+// applyForward optimistically applies a tentative MSet through core's
+// apply kernel and remembers it.  In General mode forward MSets apply in
+// global sequence order.  sl.mu is held across the whole apply, so each
+// op's prior value is captured atomically with it and the log order is
+// the apply order.  Only forward applies take WU locks at a COMPE site,
+// and all of them take sl.mu first, so the kernel's lock waits can never
+// close a cycle through sl.mu.
 func (e *Engine) applyForward(s *replica.Site, sl *siteLog, m et.MSet) error {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
 	if e.cfg.Mode == General {
-		sl.mu.Lock()
 		switch {
 		case m.Seq < sl.nextSeq:
-			sl.mu.Unlock()
 			return nil // duplicate
 		case m.Seq > sl.nextSeq:
-			sl.mu.Unlock()
 			return replica.ErrHold
 		}
-		sl.mu.Unlock()
 	}
-	tx := lock.TxID(m.ET)
-	objs := distinctObjects(m.Ops)
-	sort.Strings(objs)
-	for _, obj := range objs {
-		if err := s.Locks.Acquire(tx, lock.WU, firstOpOn(m.Ops, obj)); err != nil {
-			s.Locks.ReleaseAll(tx)
-			return fmt.Errorf("compe: apply lock on %q: %w", obj, err)
-		}
-	}
-	sl.mu.Lock()
-	prevs := make([]op.Value, len(m.Ops))
-	vers := make(map[string]op.Value, len(objs))
-	for i, o := range m.Ops {
-		prevs[i] = s.Store.Get(o.Object)
-		v := s.Store.Apply(o)
-		if o.Kind.IsUpdate() {
-			vers[o.Object] = v
-		}
-	}
-	// Dual-write into the multi-version store for snapshot reads
-	// (idempotent at the same TS, covering redelivery).
-	for obj, v := range vers {
-		s.MV.InstallMonotone(obj, m.TS, v)
+	prevs := make([]op.Value, 0, len(m.Ops))
+	err := e.method.Apply(s, m, func(s *replica.Site, o op.Op) (op.Value, bool) {
+		prevs = append(prevs, s.Store.Get(o.Object))
+		return s.Store.Apply(o), true
+	})
+	if err != nil {
+		return err
 	}
 	sl.entries = append(sl.entries, logEntry{m: m, prevs: prevs})
 	sl.applied[m.ET] = true
-	for _, obj := range objs {
+	for _, obj := range op.Objects(m.Ops, false) {
 		sl.risk[obj]++
 	}
 	if e.cfg.Mode == General {
 		sl.nextSeq++
 	}
-	sl.mu.Unlock()
-	s.Locks.ReleaseAll(tx)
 	return nil
 }
 
@@ -506,30 +425,30 @@ func (e *Engine) applyCommitRecord(sl *siteLog, m et.MSet) error {
 		return replica.ErrHold
 	}
 	delete(sl.applied, m.Target)
-	idx := indexOf(sl.entries, m.Target)
-	if idx >= 0 {
-		for _, obj := range distinctObjects(sl.entries[idx].m.Ops) {
-			if sl.risk[obj] > 0 {
-				sl.risk[obj]--
-			}
-		}
-	}
 	// idx < 0 means an earlier truncation already dropped the entry (its
 	// committed status became visible before this record arrived).  Its
 	// risk counters are still held — truncation never touches them — so
-	// release them using the engine's record of the ET's operations.
-	if idx < 0 {
+	// release them using the engine's record of the ET's objects.
+	if idx := indexOf(sl.entries, m.Target); idx >= 0 {
+		releaseRisk(sl, op.Objects(sl.entries[idx].m.Ops, false))
+	} else {
 		e.mu.Lock()
-		ops := e.ops[m.Target]
+		objs := e.objs[m.Target]
 		e.mu.Unlock()
-		for _, obj := range distinctObjects(ops) {
-			if sl.risk[obj] > 0 {
-				sl.risk[obj]--
-			}
-		}
+		releaseRisk(sl, objs)
 	}
 	e.truncateLocked(sl)
 	return nil
+}
+
+// releaseRisk drops one unit of the site's risk on each object.  Caller
+// holds sl.mu.
+func releaseRisk(sl *siteLog, objs []string) {
+	for _, obj := range objs {
+		if sl.risk[obj] > 0 {
+			sl.risk[obj]--
+		}
+	}
 }
 
 // applyCompensation undoes the target MSet at this site (§4.2).
@@ -576,11 +495,7 @@ func (e *Engine) applyCompensation(s *replica.Site, sl *siteLog, m et.MSet) erro
 		}
 		e.countUndo(undone, redone)
 	}
-	for _, obj := range distinctObjects(target.m.Ops) {
-		if sl.risk[obj] > 0 {
-			sl.risk[obj]--
-		}
-	}
+	releaseRisk(sl, op.Objects(target.m.Ops, false))
 	sl.entries = append(sl.entries[:idx], sl.entries[idx+1:]...)
 	// Refresh the multi-version chains with the post-compensation values
 	// at the compensation MSet's timestamp (§4.2's "adding another
@@ -612,14 +527,9 @@ func (e *Engine) undoEntry(s *replica.Site, en logEntry) {
 		if !ok {
 			continue // admissibility check makes this unreachable
 		}
-		cur := s.Store.Get(comp.Object)
-		s.Store.Apply(restoreVia(comp, cur))
+		s.Store.Apply(comp)
 	}
 }
-
-// restoreVia returns comp unchanged; it exists to keep the undo path in
-// one place should value-checking be added.
-func restoreVia(comp op.Op, _ op.Value) op.Op { return comp }
 
 func (e *Engine) countUndo(undone, redone int) {
 	e.mu.Lock()
@@ -660,27 +570,6 @@ func (e *Engine) truncateLocked(sl *siteLog) {
 	if cut > 0 {
 		sl.entries = append([]logEntry(nil), sl.entries[cut:]...)
 	}
-}
-
-func distinctObjects(ops []op.Op) []string {
-	seen := make(map[string]bool, len(ops))
-	var out []string
-	for _, o := range ops {
-		if o.Kind.IsUpdate() && !seen[o.Object] {
-			seen[o.Object] = true
-			out = append(out, o.Object)
-		}
-	}
-	return out
-}
-
-func firstOpOn(ops []op.Op, object string) op.Op {
-	for _, o := range ops {
-		if o.Object == object && o.Kind.IsUpdate() {
-			return o
-		}
-	}
-	return op.Op{Kind: op.Write, Object: object}
 }
 
 func indexOf(entries []logEntry, id et.ID) int {

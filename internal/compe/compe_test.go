@@ -209,6 +209,13 @@ func TestFamilyConflictRejected(t *testing.T) {
 	if _, err := e.Begin(1, []op.Op{op.UAppendOp("x", "a")}); !errors.Is(err, ErrNotCompensatable) {
 		t.Errorf("UAppend on additive object = %v", err)
 	}
+	// A rejected burst must leave no family pinned.
+	if _, err := e.BeginBurst(1, [][]op.Op{{op.IncOp("w", 1)}, {op.MulOp("z", 2)}}); !errors.Is(err, ErrNotCompensatable) {
+		t.Errorf("burst with a Mul under Commutative = %v", err)
+	}
+	if _, err := e.Begin(1, []op.Op{op.UAppendOp("w", "a")}); err != nil {
+		t.Errorf("w family must remain unreserved after the burst's rejection: %v", err)
+	}
 }
 
 func TestDoubleResolveRejected(t *testing.T) {

@@ -1,6 +1,5 @@
 // Cross-shard commit journal: the coordinator-side decision record of
-// the atomic-commit protocol cross-shard ETs run (see ordup's
-// cross-shard path and coherency.TwoPhase).  After every participating
+// the atomic-commit protocol cross-shard ETs run (see Submit).  After every participating
 // shard's sequence reservation has prepared, and BEFORE any shard's
 // MSets are broadcast, the origin durably records the full burst here.
 // A crash after the record is a decided-but-unpropagated commit: on
@@ -20,8 +19,8 @@
 // applied its half.
 //
 // Only the LAST record can be unresolved: cross-shard commits are
-// serialized per origin (the engine holds its cross-shard lock across
-// record and broadcast), and each record is marked resolved before the
+// serialized per origin (Submit holds the submit gates across record and
+// broadcast), and each record is marked resolved before the
 // next begins.
 package core
 
@@ -196,13 +195,12 @@ func (xf *xshardFile) close() {
 	}
 }
 
-// BeginCrossShard durably records a decided cross-shard burst against
+// beginCrossShard durably records a decided cross-shard burst against
 // its origin before any part of it broadcasts.  In-memory clusters (no
 // Dir) skip the journal — a process crash loses the whole cluster, so
 // there is no partial state to protect.  The caller must serialize
-// Begin/End per origin (ordup holds its cross-shard submit locks
-// across both).
-func (c *Cluster) BeginCrossShard(origin clock.SiteID, msets []et.MSet) error {
+// begin/end per origin (Submit holds the submit gates across both).
+func (c *Cluster) beginCrossShard(origin clock.SiteID, msets []et.MSet) error {
 	xf := c.xintents[origin]
 	if xf == nil {
 		return nil
@@ -224,10 +222,10 @@ func (c *Cluster) BeginCrossShard(origin clock.SiteID, msets []et.MSet) error {
 	return nil
 }
 
-// EndCrossShard marks the origin's outstanding cross-shard burst
+// endCrossShard marks the origin's outstanding cross-shard burst
 // resolved: every part is durably enqueued on its shard's links, so
 // ordinary delivery (not crash recovery) owns propagation from here.
-func (c *Cluster) EndCrossShard(origin clock.SiteID) error {
+func (c *Cluster) endCrossShard(origin clock.SiteID) error {
 	xf := c.xintents[origin]
 	if xf == nil {
 		return nil

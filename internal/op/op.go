@@ -12,6 +12,7 @@ package op
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"esr/internal/clock"
@@ -176,6 +177,20 @@ type Op struct {
 	// TS is the version timestamp for RITU timestamped writes; zero for
 	// operations that are not timestamped.
 	TS clock.Timestamp
+}
+
+// Objects returns the distinct objects ops name, sorted.  Reads count
+// only when reads is set: a read fences scheduling like an update, but it
+// neither locks nor dirties an object.
+func Objects(ops []Op, reads bool) []string {
+	out := make([]string, 0, len(ops))
+	for _, o := range ops {
+		if reads || o.Kind != Read {
+			out = append(out, o.Object)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ReadOp returns a read of object.

@@ -27,14 +27,11 @@ package ordup
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"esr/internal/clock"
-	"esr/internal/coherency"
 	"esr/internal/consistency"
 	"esr/internal/core"
 	"esr/internal/divergence"
@@ -114,15 +111,13 @@ type siteState struct {
 
 // Engine is the ORDUP replica-control engine.
 type Engine struct {
+	*core.Flights // applied tracking: AppliedAt, AppliedEverywhere, Outstanding
+
 	cfg    Config
 	c      *core.Cluster
+	method core.Method
 	states map[clock.SiteID][]*siteState    // per (site, shard) ordering state
 	tos    map[clock.SiteID]*tsdc.Scheduler // per-site TO schedulers (nil under 2PL)
-
-	mu sync.Mutex
-	// outstanding maps an update ET to, per site, how many of its MSet
-	// parts (one per involved shard) that site has not yet applied.
-	outstanding map[et.ID]map[clock.SiteID]int
 
 	applies atomic.Uint64 // MSets applied anywhere (stall detection)
 
@@ -145,13 +140,25 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:         cfg,
-		c:           c,
-		states:      make(map[clock.SiteID][]*siteState),
-		tos:         make(map[clock.SiteID]*tsdc.Scheduler),
-		outstanding: make(map[et.ID]map[clock.SiteID]int),
-		snaps:       make(map[uint64][]byte),
-		hbDone:      make(chan struct{}),
+		Flights: core.NewFlights(c, nil),
+		cfg:     cfg,
+		c:       c,
+		states:  make(map[clock.SiteID][]*siteState),
+		tos:     make(map[clock.SiteID]*tsdc.Scheduler),
+		snaps:   make(map[uint64][]byte),
+		hbDone:  make(chan struct{}),
+	}
+	// Table 1's ORDUP row: a global order per shard, from the order server
+	// or from Lamport timestamps; any update op is admitted.
+	e.method = core.Method{
+		Order:     core.Sequenced,
+		Floors:    cfg.Ordering == Sequencer && c.SeqReplicated(),
+		Gate:      func(origin clock.SiteID, sh int) *sync.Mutex { return &e.states[origin][sh].submit },
+		NotUpdate: ErrNotUpdate,
+		Flights:   e.Flights,
+	}
+	if cfg.Ordering == Lamport {
+		e.method.Order = core.Timestamped
 	}
 	for _, id := range c.SiteIDs() {
 		sts := make([]*siteState, c.Shards())
@@ -222,183 +229,12 @@ func (e *Engine) Update(origin clock.SiteID, ops []op.Op) (et.ID, error) {
 }
 
 // UpdateBurst executes a burst of update ETs at origin as one propagation
-// batch: in Sequencer mode the whole burst reserves a consecutive
-// sequence range per involved shard in one order-server round trip each,
-// and all MSets leave as one batch per destination (one journal fsync
-// per link on durable clusters).  Each burst entry is an independent ET;
-// the paper's framing holds per ET, only the propagation is coalesced.
-//
-// Sharding: each ET's update ops are split by their objects' owning
-// shards.  The common case — every object in one shard — produces one
-// MSet and pays zero cross-shard coordination.  A cross-shard ET
-// produces one MSet per involved shard, all sharing the ET identity,
-// and commits atomically over those ordering domains via 2PC
-// (coherency.TwoPhase): the per-shard sequence reservations prepare,
-// the origin's durable cross-shard record decides, and the per-shard
-// broadcasts commit.  A reservation that fails mid-prepare simply
-// abandons the runs reserved so far — they become permitted gaps, the
-// outcome the per-shard gap contract already covers.
+// batch through core's write path (Cluster.Submit): in Sequencer mode the
+// whole burst reserves a consecutive sequence range per involved shard in
+// one order-server round trip each, and a cross-shard ET commits
+// atomically over its shards' ordering domains.
 func (e *Engine) UpdateBurst(origin clock.SiteID, bursts [][]op.Op) ([]et.ID, error) {
-	if len(bursts) == 0 {
-		return nil, nil
-	}
-	shards := e.c.Shards()
-	parts := make([][][]op.Op, len(bursts)) // [burst][shard] = ops (nil when uninvolved)
-	counts := make([]uint64, shards)        // MSets per shard across the burst
-	crossShard := false
-	for i, ops := range bursts {
-		updates := updateOps(ops)
-		if len(updates) == 0 {
-			return nil, ErrNotUpdate
-		}
-		p := make([][]op.Op, shards)
-		involved := 0
-		for _, o := range updates {
-			sh := e.c.ShardOfObject(o.Object)
-			if p[sh] == nil {
-				involved++
-			}
-			p[sh] = append(p[sh], o)
-		}
-		if involved > 1 {
-			crossShard = true
-		}
-		for sh := range p {
-			if p[sh] != nil {
-				counts[sh]++
-			}
-		}
-		parts[i] = p
-	}
-	shardList := make([]int, 0, shards)
-	for sh := 0; sh < shards; sh++ {
-		if counts[sh] > 0 {
-			shardList = append(shardList, sh)
-		}
-	}
-	s := e.c.Site(origin)
-	if s == nil {
-		return nil, fmt.Errorf("ordup: unknown site %v", origin)
-	}
-	// In Lamport mode the stability rule depends on per-link FIFO implying
-	// per-origin timestamp order, so timestamp assignment and enqueueing
-	// must be atomic per origin and shard.  With the replicated sequencer
-	// the same holds for reservation and enqueueing: a data MSet's
-	// SeqFloor (its own Seq) promises that nothing below it is still
-	// unsent from this origin in that shard, which is only true if runs
-	// leave in reservation order.  Cross-shard bursts always pin their
-	// involved shards: the durable decision record and its broadcast must
-	// be serialized per origin.  Ascending shard order keeps concurrent
-	// cross-shard bursts deadlock-free.  (The legacy sequencer with
-	// single-shard ETs advertises no floors and needs no pinning.)
-	sts := e.states[origin]
-	replicated := e.cfg.Ordering == Sequencer && e.c.SeqReplicated()
-	if e.cfg.Ordering == Lamport || replicated || crossShard {
-		for _, sh := range shardList {
-			sts[sh].submit.Lock()
-		}
-		defer func() {
-			for _, sh := range shardList {
-				sts[sh].submit.Unlock()
-			}
-		}()
-	}
-	seq0 := make([]uint64, shards)
-	var seqT0 time.Time
-	if e.cfg.Ordering == Sequencer {
-		seqT0 = time.Now()
-	}
-	reserve := func(sh int) error {
-		if e.cfg.Ordering != Sequencer {
-			return nil
-		}
-		n, err := e.c.NextSeqNShard(origin, sh, counts[sh]) //esrvet:ignore A8 reserve-then-broadcast must be atomic per origin and shard (SeqFloor promise); submit is that gate
-		if err != nil {
-			return err
-		}
-		seq0[sh] = n
-		return nil
-	}
-	ids := make([]et.ID, len(bursts))
-	var msets []et.MSet
-	byShard := make([][]et.MSet, shards)
-	// stamp assigns ET identities, timestamps and (in Sequencer mode)
-	// the reserved sequence numbers in burst order per shard, and
-	// registers each ET as outstanding with one part per involved shard.
-	stamp := func() {
-		nextSeq := make([]uint64, shards)
-		copy(nextSeq, seq0)
-		for i := range bursts {
-			id := e.c.NextET(origin)
-			ids[i] = id
-			ts := s.Clock.Tick()
-			nparts := 0
-			for sh := 0; sh < shards; sh++ {
-				if parts[i][sh] != nil {
-					nparts++
-				}
-			}
-			pendingAt := make(map[clock.SiteID]int, len(e.states))
-			for sid := range e.states {
-				pendingAt[sid] = nparts
-			}
-			e.mu.Lock()
-			e.outstanding[id] = pendingAt
-			e.mu.Unlock()
-			for sh := 0; sh < shards; sh++ {
-				if parts[i][sh] == nil {
-					continue
-				}
-				var seq, floor uint64
-				if e.cfg.Ordering == Sequencer {
-					seq = nextSeq[sh]
-					nextSeq[sh]++
-					if replicated {
-						floor = seq
-					}
-				}
-				m := et.MSet{ET: id, Origin: origin, Seq: seq, TS: ts,
-					Ops: parts[i][sh], SeqFloor: floor, Shard: sh}
-				msets = append(msets, m)
-				byShard[sh] = append(byShard[sh], m)
-			}
-			e.c.RecordUpdate(id, bursts[i])
-		}
-	}
-	if crossShard {
-		tp := coherency.TwoPhase[int]{
-			Prepare: reserve,
-			Decide: func() error {
-				stamp()
-				return e.c.BeginCrossShard(origin, msets)
-			},
-			Commit: func(sh int) error { return e.c.BroadcastAll(byShard[sh]) },
-		}
-		if err := tp.Run(shardList); err != nil {
-			return nil, err
-		}
-		if err := e.c.EndCrossShard(origin); err != nil { //esrvet:ignore A8 the resolution marker must land while the per-shard submit gates still pin the reserved runs
-			return nil, err
-		}
-	} else {
-		for _, sh := range shardList {
-			if err := reserve(sh); err != nil {
-				return nil, err
-			}
-		}
-		stamp()
-		if err := e.c.BroadcastAll(msets); err != nil {
-			return nil, err
-		}
-	}
-	if e.cfg.Ordering == Sequencer {
-		// The ordering leg: reserve round trip through stamping, one span
-		// per MSet so every timeline shows its sequencing cost.
-		for _, sh := range shardList {
-			e.c.RecordSequenceSpan(origin, byShard[sh], seqT0)
-		}
-	}
-	return ids, nil
+	return e.c.Submit(origin, bursts, &e.method)
 }
 
 // Query executes a query ET at the given site under an ε limit.  Reads
@@ -416,23 +252,6 @@ func (e *Engine) Query(site clock.SiteID, objects []string, eps divergence.Limit
 // budget.
 func (e *Engine) QuerySpec(site clock.SiteID, objects []string, spec divergence.Spec) (et.QueryResult, error) {
 	return core.ReadAtSite(e.c, site, objects, core.ReadOptions{Level: consistency.Bounded, Spec: spec, At: clock.Latest})
-}
-
-// Outstanding reports the number of update ETs not yet applied at every
-// site.
-func (e *Engine) Outstanding() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.outstanding)
-}
-
-// AppliedEverywhere reports whether the update ET has been applied at
-// every site.  Unknown IDs report true (they are not outstanding).
-func (e *Engine) AppliedEverywhere(id et.ID) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, out := e.outstanding[id]
-	return !out
 }
 
 // CrashSite simulates a site failure on a durable cluster.
@@ -552,7 +371,7 @@ func (e *Engine) applySequenced(s *replica.Site, st *siteState, m et.MSet) error
 	e.trySkipLocked(st)
 	st.mu.Unlock()
 	st.applyMu.Unlock()
-	e.noteApplied(m.ET, s.ID)
+	e.applies.Add(1)
 	return nil
 }
 
@@ -643,74 +462,16 @@ func (e *Engine) applyLamport(s *replica.Site, st *siteState, m et.MSet) error {
 	st.mu.Lock()
 	delete(st.pending, m.ET)
 	st.mu.Unlock()
-	e.noteApplied(m.ET, s.ID)
+	e.applies.Add(1)
 	return nil
 }
 
-// applyOps applies the MSet's operations under WU locks taken in sorted
-// object order (total acquisition order prevents deadlock against
-// ε-exhausted queries).  Under timestamp ordering the TO stamps bump
-// before the values change, so queries can bracket their reads.
+// applyOps applies the MSet through core's apply kernel.  Under
+// timestamp ordering the TO stamps bump before the values change, so
+// queries can bracket their reads.
 func (e *Engine) applyOps(s *replica.Site, m et.MSet) error {
 	e.markTO(s.ID, m)
-	tx := lock.TxID(m.ET)
-	objs := make([]string, 0, len(m.Ops))
-	seen := make(map[string]bool, len(m.Ops))
-	for _, o := range m.Ops {
-		if !seen[o.Object] {
-			seen[o.Object] = true
-			objs = append(objs, o.Object)
-		}
-	}
-	sort.Strings(objs)
-	for _, obj := range objs {
-		if err := s.Locks.Acquire(tx, lock.WU, op.Op{Kind: op.Write, Object: obj}); err != nil {
-			s.Locks.ReleaseAll(tx)
-			return fmt.Errorf("ordup: apply lock on %q: %w", obj, err)
-		}
-	}
-	vers := make(map[string]op.Value, len(objs))
-	for _, o := range m.Ops {
-		v := s.Store.Apply(o)
-		if o.Kind.IsUpdate() {
-			vers[o.Object] = v
-		}
-	}
-	// Dual-write the post-apply values into the multi-version store so
-	// snapshot reads can serve any timestamp (Install at the same TS is
-	// idempotent, covering redelivery).
-	for obj, v := range vers {
-		s.MV.InstallMonotone(obj, m.TS, v)
-	}
-	s.Locks.ReleaseAll(tx)
-	return nil
-}
-
-func (e *Engine) noteApplied(id et.ID, site clock.SiteID) {
-	e.applies.Add(1)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if pending, ok := e.outstanding[id]; ok {
-		if n := pending[site]; n > 1 {
-			// A cross-shard ET: one part down, its siblings still queued.
-			pending[site] = n - 1
-			return
-		}
-		delete(pending, site)
-		if len(pending) == 0 {
-			delete(e.outstanding, id)
-		}
-	}
-}
-
-// AppliedAt reports whether the update ET (every part of it, for
-// cross-shard ETs) has been applied at the given site.  Unknown IDs
-// report true.
-func (e *Engine) AppliedAt(id et.ID, site clock.SiteID) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	pending, ok := e.outstanding[id]
-	return !ok || pending[site] == 0
+	return e.method.Apply(s, m, nil)
 }
 
 // heartbeatLoop broadcasts empty MSets from every site while updates are
@@ -822,14 +583,4 @@ func (e *Engine) anyBacklog() bool {
 		}
 	}
 	return false
-}
-
-func updateOps(ops []op.Op) []op.Op {
-	out := make([]op.Op, 0, len(ops))
-	for _, o := range ops {
-		if o.Kind.IsUpdate() {
-			out = append(out, o)
-		}
-	}
-	return out
 }

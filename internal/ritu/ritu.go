@@ -77,18 +77,17 @@ type Config struct {
 
 // Engine is the RITU replica-control engine.
 type Engine struct {
-	cfg Config
-	c   *core.Cluster
+	*core.Flights // applied tracking: AppliedAt, AppliedEverywhere, Outstanding
 
-	mu          sync.Mutex
-	outstanding map[et.ID]*flight
-	vtnc        clock.Timestamp
-	maxApplied  clock.Timestamp
-}
+	cfg    Config
+	c      *core.Cluster
+	method core.Method
 
-type flight struct {
-	ts      clock.Timestamp
-	pending map[clock.SiteID]bool
+	// mu guards the VTNC state.  The tracker's lock is taken first: both
+	// stamp and settle run under it.
+	mu         sync.Mutex
+	vtnc       clock.Timestamp
+	maxApplied clock.Timestamp
 }
 
 // New builds and starts a RITU engine.
@@ -98,9 +97,27 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, c: c, outstanding: make(map[et.ID]*flight)}
+	e := &Engine{cfg: cfg, c: c}
+	e.Flights = core.NewFlights(c, e.settle)
+	// Table 1's RITU row: no order; only blind writes are admitted, each
+	// ET stamped above the VTNC.
+	e.method = core.Method{
+		NotUpdate: ErrNotUpdate,
+		AdmitOp: func(o op.Op) error {
+			if o.Kind != op.Write {
+				return fmt.Errorf("%w: %v", ErrNotReadIndependent, o)
+			}
+			return nil
+		},
+		Stamp:   e.stamp,
+		Flights: e.Flights,
+	}
+	apply := applyThomas
+	if cfg.Mode == MultiVersion {
+		apply = installVersion
+	}
 	c.Setup(func(s *replica.Site) replica.ApplyFunc {
-		return func(m et.MSet) error { return e.apply(s, m) }
+		return func(m et.MSet) error { return e.method.Apply(s, m, apply) }
 	})
 	return e, nil
 }
@@ -144,46 +161,7 @@ func (e *Engine) Update(origin clock.SiteID, ops []op.Op) (et.ID, error) {
 // clusters.  Read independence makes the batching invisible to queries:
 // each version is judged against the VTNC exactly as if sent alone.
 func (e *Engine) UpdateBurst(origin clock.SiteID, bursts [][]op.Op) ([]et.ID, error) {
-	if len(bursts) == 0 {
-		return nil, nil
-	}
-	s := e.c.Site(origin)
-	if s == nil {
-		return nil, fmt.Errorf("ritu: unknown site %v", origin)
-	}
-	allUpdates := make([][]op.Op, len(bursts))
-	for i, ops := range bursts {
-		var updates []op.Op
-		for _, o := range ops {
-			if !o.Kind.IsUpdate() {
-				continue
-			}
-			if o.Kind != op.Write {
-				return nil, fmt.Errorf("%w: %v", ErrNotReadIndependent, o)
-			}
-			updates = append(updates, o)
-		}
-		if len(updates) == 0 {
-			return nil, ErrNotUpdate
-		}
-		allUpdates[i] = updates
-	}
-	ids := make([]et.ID, len(bursts))
-	msets := make([]et.MSet, len(bursts))
-	for i, updates := range allUpdates {
-		id := e.c.NextET(origin)
-		ids[i] = id
-		ts := e.trackAboveVTNC(id, s)
-		for j := range updates {
-			updates[j].TS = ts
-		}
-		msets[i] = et.MSet{ET: id, Origin: origin, TS: ts, Ops: updates}
-		e.c.RecordUpdate(id, bursts[i])
-	}
-	if err := e.c.BroadcastAll(msets); err != nil {
-		return nil, err
-	}
-	return ids, nil
+	return e.c.Submit(origin, bursts, &e.method)
 }
 
 // Query executes a query ET at the given site.
@@ -241,15 +219,6 @@ func (e *Engine) Query(site clock.SiteID, objects []string, eps divergence.Limit
 	}, nil
 }
 
-// AppliedEverywhere reports whether the update ET has been applied at
-// every site.  Unknown IDs report true (they are not outstanding).
-func (e *Engine) AppliedEverywhere(id et.ID) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, out := e.outstanding[id]
-	return !out
-}
-
 // QueryAt executes a historical query in MultiVersion mode: every object
 // is read as of the given timestamp, yielding a serializable snapshot
 // ("queries that are serialized in the 'past' do not block, and
@@ -264,15 +233,6 @@ func (e *Engine) QueryAt(site clock.SiteID, objects []string, ts clock.Timestamp
 		ts.Site = 1 // a zero At means "unset"; no version is stamped at time 0 either way
 	}
 	return core.ReadAtSite(e.c, site, objects, core.ReadOptions{At: ts})
-}
-
-// AppliedAt reports whether the update ET has been applied at the given
-// site.  Unknown IDs report true.
-func (e *Engine) AppliedAt(id et.ID, site clock.SiteID) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	f, ok := e.outstanding[id]
-	return !ok || !f.pending[site]
 }
 
 // VTNC returns the current visible transaction number counter: the
@@ -320,86 +280,50 @@ func (e *Engine) RestartSite(id clock.SiteID) error {
 // Close implements core.Engine.
 func (e *Engine) Close() error { return e.c.Close() }
 
-// trackAboveVTNC atomically chooses a version timestamp above the current
-// VTNC and registers the ET as outstanding, so the VTNC cannot advance
-// past the new timestamp before it is accounted for.
-func (e *Engine) trackAboveVTNC(id et.ID, s *replica.Site) clock.Timestamp {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ts := s.Clock.Observe(e.vtnc)
-	f := &flight{ts: ts, pending: make(map[clock.SiteID]bool)}
-	for _, sid := range e.c.SiteIDs() {
-		f.pending[sid] = true
+// stamp chooses an ET's version timestamp above the current VTNC and
+// marks every write with it.  It runs under the tracker's lock, which
+// registers the ET before the VTNC can advance past the new timestamp.
+func (e *Engine) stamp(s *replica.Site, updates []op.Op) clock.Timestamp {
+	ts := s.Clock.Observe(e.VTNC())
+	for j := range updates {
+		updates[j].TS = ts
 	}
-	e.outstanding[id] = f
 	return ts
 }
 
-func (e *Engine) noteApplied(id et.ID, site clock.SiteID, ts clock.Timestamp) {
+// settle advances the VTNC after an apply: everything below the oldest
+// outstanding version is stable; with nothing outstanding, everything
+// applied is.
+func (e *Engine) settle(ts, oldest clock.Timestamp) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.maxApplied.Less(ts) {
 		e.maxApplied = ts
 	}
-	f := e.outstanding[id]
-	if f != nil {
-		delete(f.pending, site)
-		if len(f.pending) == 0 {
-			delete(e.outstanding, id)
-		}
-	}
-	// Advance the VTNC: everything below the oldest outstanding version
-	// is stable; with nothing outstanding, everything applied is.
-	var candidate clock.Timestamp
-	if len(e.outstanding) == 0 {
-		candidate = e.maxApplied
-	} else {
-		min := clock.Timestamp{}
-		for _, fl := range e.outstanding {
-			if min.IsZero() || fl.ts.Less(min) {
-				min = fl.ts
-			}
-		}
-		if min.Time == 0 {
+	candidate := e.maxApplied
+	if !oldest.IsZero() {
+		if oldest.Time == 0 {
 			return
 		}
-		candidate = clock.Timestamp{Time: min.Time - 1, Site: vtncCeiling}
+		candidate = clock.Timestamp{Time: oldest.Time - 1, Site: vtncCeiling}
 	}
 	if e.vtnc.Less(candidate) {
 		e.vtnc = candidate
 	}
 }
 
-func (e *Engine) apply(s *replica.Site, m et.MSet) error {
-	tx := lock.TxID(m.ET)
-	objs := make([]string, 0, len(m.Ops))
-	seen := make(map[string]bool, len(m.Ops))
-	for _, o := range m.Ops {
-		if !seen[o.Object] {
-			seen[o.Object] = true
-			objs = append(objs, o.Object)
-		}
+// applyThomas applies a blind write under the Thomas write rule; only a
+// write that took effect lands in the version chain.
+func applyThomas(s *replica.Site, o op.Op) (op.Value, bool) {
+	if !s.Store.ApplyTimestamped(o) {
+		return op.Value{}, false
 	}
-	sort.Strings(objs)
-	for _, obj := range objs {
-		if err := s.Locks.Acquire(tx, lock.WU, op.Op{Kind: op.Write, Object: obj}); err != nil {
-			s.Locks.ReleaseAll(tx)
-			return fmt.Errorf("ritu: apply lock on %q: %w", obj, err)
-		}
-	}
-	for _, o := range m.Ops {
-		if e.cfg.Mode == SingleVersion {
-			if s.Store.ApplyTimestamped(o) {
-				// Dual-write applied (non-stale) values into the
-				// multi-version store so snapshot reads can serve any
-				// timestamp from single-version RITU sites too.
-				s.MV.InstallMonotone(o.Object, m.TS, s.Store.Get(o.Object))
-			}
-		} else {
-			s.MV.Install(o.Object, o.TS, op.NumValue(o.Arg))
-		}
-	}
-	s.Locks.ReleaseAll(tx)
-	e.noteApplied(m.ET, s.ID, m.TS)
-	return nil
+	return s.Store.Get(o.Object), true
+}
+
+// installVersion installs a blind write as an immutable version at its
+// own timestamp.
+func installVersion(s *replica.Site, o op.Op) (op.Value, bool) {
+	s.MV.Install(o.Object, o.TS, op.NumValue(o.Arg))
+	return op.Value{}, false
 }

@@ -84,7 +84,8 @@ type Options struct {
 // BurstUpdater is implemented by engines that can submit a commit burst
 // of update ETs as one propagation batch per destination (the
 // group-commit pipeline).  All four replica-control methods implement
-// it; the synchronous baselines do not.
+// it over core's write path (Cluster.Submit); the synchronous baselines
+// do not.
 type BurstUpdater interface {
 	UpdateBurst(origin clock.SiteID, bursts [][]op.Op) ([]et.ID, error)
 }
