@@ -282,6 +282,57 @@ func TestJournalRecoveryReappliesAfterRestart(t *testing.T) {
 	waitFor(t, "recovered apply", func() bool { return applied.Load() == 1 })
 }
 
+// TestOnAppliedFollowsBookkeeping: OnApplied runs only once the site's
+// watermark, epochs and pending counts already reflect the MSet.
+func TestOnAppliedFollowsBookkeeping(t *testing.T) {
+	s := NewSite(1, queue.NewMem(), lock.ORDUP)
+	s.SetApply(func(et.MSet) error { return nil })
+	var told atomic.Bool
+	s.OnApplied = func(m et.MSet) {
+		if wm := s.Watermark(); wm.Less(m.TS) {
+			t.Errorf("OnApplied: watermark %v below the MSet's %v", wm, m.TS)
+		}
+		if s.Epoch("x") != 1 || s.Pending("x") != 0 {
+			t.Errorf("OnApplied: epoch %d, pending %d; want 1, 0", s.Epoch("x"), s.Pending("x"))
+		}
+		told.Store(true)
+	}
+	s.Start()
+	defer s.Stop()
+	m := et.MSet{ET: et.MakeID(2, 1), Origin: 2, TS: clock.Timestamp{Time: 9, Site: 2}, Ops: []op.Op{op.IncOp("x", 1)}}
+	if err := s.Receive(queue.Message{ID: 1, Payload: encode(t, m)}); err != nil {
+		t.Fatalf("Receive: %v", err)
+	}
+	waitFor(t, "OnApplied", told.Load)
+}
+
+// TestFloorEvidenceSerializesWindow: a window holding an MSet with a
+// sequence floor runs as one group in window order, so no floor is acted
+// on before a lower-numbered MSet of the same window has been seen.
+func TestFloorEvidenceSerializesWindow(t *testing.T) {
+	item := func(seq, floor uint64, obj string) applyItem {
+		m := et.MSet{Seq: seq, SeqFloor: floor}
+		if obj != "" {
+			m.Ops = []op.Op{op.IncOp(obj, 1)}
+		}
+		return applyItem{m: m, objs: op.Objects(m.Ops, true)}
+	}
+	disjoint := []applyItem{item(1, 0, "a"), item(2, 0, "b"), item(3, 0, "")}
+	if got := len(conflictGroups(disjoint)); got != 3 {
+		t.Fatalf("disjoint window without floors: %d groups, want 3", got)
+	}
+	floored := []applyItem{item(1, 1, "a"), item(2, 2, "b"), item(^uint64(0), 3, "")}
+	groups := conflictGroups(floored)
+	if len(groups) != 1 || len(groups[0]) != len(floored) {
+		t.Fatalf("window with floors: %d groups, want one serial group", len(groups))
+	}
+	for i, it := range groups[0] {
+		if it.m.Seq != floored[i].m.Seq {
+			t.Errorf("group order: position %d holds seq %d, want %d", i, it.m.Seq, floored[i].m.Seq)
+		}
+	}
+}
+
 // BenchmarkPruneSeen measures dedup-horizon maintenance per ack batch.
 // Steady state must be allocation-free: the retention ring is allocated
 // once and reused, where the old implementation rebuilt a slice of
