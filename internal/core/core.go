@@ -596,19 +596,7 @@ func (c *Cluster) Setup(factory func(s *replica.Site) replica.ApplyFunc) {
 	for id, s := range c.sites {
 		apply := factory(s)
 		if ws := c.wals[id]; ws != nil {
-			inner := apply
-			applied := appliedBy[id] // nil when the site started fresh
-			apply = func(m et.MSet) error {
-				if applied != nil && applied[m.Shard] != nil && applied[m.Shard][m.ET] && !m.Compensation {
-					// Applied and logged before the crash; the queued
-					// copy is a leftover to acknowledge, not re-apply.
-					return nil
-				}
-				if err := inner(m); err != nil {
-					return err
-				}
-				return ws[m.Shard].Append(m)
-			}
+			apply = walApply(ws, appliedBy[id], apply)
 		}
 		s.SetApply(apply)
 		s.Start()
@@ -635,6 +623,26 @@ func (c *Cluster) Setup(factory func(s *replica.Site) replica.ApplyFunc) {
 				panic(fmt.Sprintf("core: resolve seq intents for %v shard %d: %v", id, sh, err))
 			}
 		}
+	}
+}
+
+// walApply wraps a method's ApplyFunc so every MSet it applies is
+// appended to its shard's WAL before the apply reports success.  Holds
+// and errors pass through unlogged; a failed append fails the apply, so
+// the MSet stays queued and the log never lags the acknowledged state.
+// applied holds, per shard, the MSets recovered from the WAL (nil when
+// the site started fresh): their queued copies are leftovers to
+// acknowledge, not re-apply.  The inner apply must be idempotent per
+// MSet, since a crash between apply and append re-delivers it.
+func walApply(ws []*wal.WAL, applied []map[et.ID]bool, inner replica.ApplyFunc) replica.ApplyFunc {
+	return func(m et.MSet) error {
+		if m.Shard < len(applied) && applied[m.Shard][m.ET] && !m.Compensation {
+			return nil
+		}
+		if err := inner(m); err != nil {
+			return err
+		}
+		return ws[m.Shard].Append(m)
 	}
 }
 
@@ -942,13 +950,20 @@ func (c *Cluster) BroadcastAll(msets []et.MSet) error {
 	return nil
 }
 
-// JournalSyncs sums the fsyncs issued by every journal-backed stable
-// queue and WAL in the cluster.  On in-memory clusters it returns 0.
+// JournalSyncs sums the fsyncs issued by every journal in the cluster:
+// the journal-backed stable queues, the WALs, and the reservation-intent
+// and cross-shard journals.  On in-memory clusters it returns 0.
 // Experiments use it to show the group-commit fsync amortisation.
 func (c *Cluster) JournalSyncs() uint64 {
 	c.siteMu.Lock()
 	defer c.siteMu.Unlock()
 	var total uint64
+	for id, its := range c.intents {
+		for _, it := range its {
+			total += it.log.Syncs()
+		}
+		total += c.xintents[id].log.Syncs()
+	}
 	for _, qs := range c.inQ {
 		for _, q := range qs {
 			if s, ok := q.(queue.Syncer); ok {

@@ -144,18 +144,7 @@ func (c *Cluster) RestartSite(id clock.SiteID, recover RecoverFunc) error {
 			return fmt.Errorf("core: engine recovery: %w", err)
 		}
 	}
-	inner := c.factory(site)
-	site.SetApply(func(m et.MSet) error {
-		if applied[m.Shard] != nil && applied[m.Shard][m.ET] && !m.Compensation {
-			// Applied and logged before the crash; the queued copy is a
-			// leftover to acknowledge, not re-apply.
-			return nil
-		}
-		if err := inner(m); err != nil {
-			return err
-		}
-		return ws[m.Shard].Append(m)
-	})
+	site.SetApply(walApply(ws, applied, c.factory(site)))
 	c.sites[id] = site
 	c.inQ[id] = qs
 	c.wals[id] = ws

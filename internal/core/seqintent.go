@@ -15,11 +15,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
-	"sync"
+	"sync/atomic"
 
 	"esr/internal/clock"
 	"esr/internal/et"
@@ -32,19 +31,21 @@ type intentRec struct {
 	start, count uint64
 }
 
-// intentFile is one origin's reservation-intent journal: fixed-size
-// 16-byte little-endian records, appended with an fsync each, last
-// intact record wins.  A torn tail (partial final record) is ignored —
-// a run whose intent never became durable was never returned to the
-// engine, so nothing references its numbers.
+// intentFile is one origin's reservation-intent journal, a queue.Log of
+// 16-byte little-endian (start, count) records, fsynced one per record;
+// the last record wins.  A torn tail is truncated on open — a run whose
+// intent never became durable was never returned to the engine, so
+// nothing references its numbers.  Callers serialize record calls per
+// journal (the submit gate does), so the log's last record is last.
 type intentFile struct {
-	mu   sync.Mutex
-	f    *os.File
-	last intentRec
-	ok   bool // last is valid (at least one intact record)
+	log  *queue.Log
+	last atomic.Pointer[intentRec] // nil until the first record
 }
 
-const intentRecLen = 16
+// intentCompactAt bounds the journal: once it reaches this size, the
+// next record rewrites it to that record alone, since only the last
+// record matters.
+const intentCompactAt = 64 << 10
 
 // intentPath names one origin's per-shard intent journal.  Shard 0
 // keeps the pre-sharding name so single-shard deployments recover
@@ -57,75 +58,51 @@ func intentPath(dir string, id clock.SiteID, shard int) string {
 }
 
 // openIntent opens (creating if needed) the origin's intent journal for
-// one shard and loads its last intact record.
+// one shard and loads its last record.
 func openIntent(dir string, id clock.SiteID, shard int) (*intentFile, error) {
-	f, err := os.OpenFile(intentPath(dir, id, shard), os.O_CREATE|os.O_RDWR, 0o600)
+	it := &intentFile{}
+	l, err := queue.OpenLog(intentPath(dir, id, shard), 0, func(body []byte) error {
+		if len(body) != 16 {
+			return fmt.Errorf("intent record is %d bytes, want 16", len(body))
+		}
+		it.last.Store(&intentRec{start: binary.LittleEndian.Uint64(body), count: binary.LittleEndian.Uint64(body[8:])})
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: open seq intent journal: %w", err)
 	}
-	it := &intentFile{f: f}
-	buf, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("core: read seq intent journal: %w", err)
-	}
-	whole := len(buf) / intentRecLen * intentRecLen
-	if whole > 0 {
-		rec := buf[whole-intentRecLen : whole]
-		it.last = intentRec{start: decodeU64(rec[:8]), count: decodeU64(rec[8:])}
-		it.ok = true
-	}
-	if whole < len(buf) {
-		// Drop the torn tail so the next append starts on a record
-		// boundary.
-		if err := f.Truncate(int64(whole)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("core: trim seq intent journal: %w", err)
-		}
-	}
-	if _, err := f.Seek(int64(whole), io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
+	it.log = l
 	return it, nil
 }
 
 // record appends one run and makes it durable before returning.
 func (it *intentFile) record(start, count uint64) error {
-	var b [intentRecLen]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(start >> (8 * i))
-		b[8+i] = byte(count >> (8 * i))
+	var b [16]byte
+	binary.LittleEndian.PutUint64(b[:], start)
+	binary.LittleEndian.PutUint64(b[8:], count)
+	var err error
+	if it.log.Size() >= intentCompactAt {
+		err = it.log.Compact(b[:])
+	} else {
+		err = it.log.Append(true, b[:])
 	}
-	it.mu.Lock()
-	defer it.mu.Unlock()
-	if _, err := it.f.Write(b[:]); err != nil {
+	if err != nil {
 		return fmt.Errorf("core: append seq intent: %w", err)
 	}
-	if err := it.f.Sync(); err != nil { //esrvet:ignore A8 the intent record must be durable before NextSeqN returns; it.mu serializes appends by design
-		return fmt.Errorf("core: sync seq intent: %w", err)
-	}
-	it.last = intentRec{start: start, count: count}
-	it.ok = true
+	it.last.Store(&intentRec{start: start, count: count})
 	return nil
 }
 
 // lastRun returns the most recent durable reservation (ok=false when
 // the journal is empty).
 func (it *intentFile) lastRun() (intentRec, bool) {
-	it.mu.Lock()
-	defer it.mu.Unlock()
-	return it.last, it.ok
+	if p := it.last.Load(); p != nil {
+		return *p, true
+	}
+	return intentRec{}, false
 }
 
-func (it *intentFile) close() {
-	it.mu.Lock()
-	defer it.mu.Unlock()
-	if it.f != nil {
-		it.f.Close()
-		it.f = nil
-	}
-}
+func (it *intentFile) close() { it.log.Close() }
 
 // recordSeqIntent durably notes a reserved run against its origin and
 // shard before NextSeqNShard returns it.  In-memory clusters (no Dir)

@@ -31,10 +31,35 @@ func TestIntentJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	defer it2.close()
 	run, ok = it2.lastRun()
 	if !ok || run.start != 13 || run.count != 5 {
 		t.Errorf("after reopen lastRun = %+v, %v, want {13 5}, true", run, ok)
+	}
+
+	// A reservation per update must not grow the journal forever: past
+	// its bound it compacts to the last record, which still wins.
+	var start uint64 = 18
+	for i := 0; i < intentCompactAt/16+64; i++ {
+		if err := it2.record(start, 2); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		start += 2
+	}
+	fi, err := os.Stat(intentPath(dir, 1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() > intentCompactAt+64 {
+		t.Errorf("intent journal is %d bytes after %d records; never compacted", fi.Size(), intentCompactAt/16+64)
+	}
+	it2.close()
+	it3, err := openIntent(dir, 1, 0)
+	if err != nil {
+		t.Fatalf("reopen compacted: %v", err)
+	}
+	defer it3.close()
+	if run, ok = it3.lastRun(); !ok || run.start != start-2 || run.count != 2 {
+		t.Errorf("after compaction lastRun = %+v, %v, want {%d 2}, true", run, ok, start-2)
 	}
 }
 
@@ -82,7 +107,9 @@ func TestIntentJournalTruncatesTornTail(t *testing.T) {
 	if !ok || run.start != 5 || run.count != 2 {
 		t.Errorf("after trim+append lastRun = %+v, %v, want {5 2}, true", run, ok)
 	}
-	if fi, err := os.Stat(intentPath(dir, 2, 0)); err != nil || fi.Size()%intentRecLen != 0 {
-		t.Errorf("journal size %v not a record multiple (err %v)", fi.Size(), err)
+	// Two whole records, as the log counts them: nothing of the torn
+	// tail survives between them.
+	if fi, err := os.Stat(intentPath(dir, 2, 0)); err != nil || fi.Size() != it3.log.Size() || fi.Size() != 2*(4+16) {
+		t.Errorf("journal size %v, log size %d, want two records (err %v)", fi.Size(), it3.log.Size(), err)
 	}
 }

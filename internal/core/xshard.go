@@ -28,10 +28,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
-	"sync"
+	"sync/atomic"
 
 	"esr/internal/clock"
 	"esr/internal/et"
@@ -53,19 +51,18 @@ type xshardRec struct {
 	Parts  [][]byte // encoded et.MSets, one per (ET, shard) pair
 }
 
-// xshardFile is one origin's cross-shard commit journal: uint32
-// length-prefixed gob records, intent records fsynced before the write
-// returns, last unresolved intent wins, torn tail ignored.
+// xshardFile is one origin's cross-shard commit journal, a queue.Log of
+// gob records: intents are fsynced before begin returns, markers are
+// not, and the last unresolved intent wins.  Callers serialize begin
+// and end per origin (Submit holds the submit gates across both).
 type xshardFile struct {
-	mu      sync.Mutex
-	f       *os.File
-	pending [][]byte // parts of the last intent without a later marker
-	size    int64
+	log     *queue.Log
+	pending atomic.Pointer[[][]byte] // parts of the last intent without a later marker
 }
 
-// xshardCompactAt bounds journal growth: a fully resolved journal past
-// this size is truncated before the next intent is appended (resolved
-// records are dead weight — only the last unresolved intent matters).
+// xshardCompactAt bounds journal growth: once the journal is past this
+// size, the next intent rewrites it to that intent alone.  Every earlier
+// record is dead weight: replay keeps only the last unresolved intent.
 const xshardCompactAt = 64 << 10
 
 func xshardPath(dir string, id clock.SiteID) string {
@@ -75,125 +72,80 @@ func xshardPath(dir string, id clock.SiteID) string {
 // openXShard opens (creating if needed) the origin's cross-shard
 // journal and loads its pending intent, if any.
 func openXShard(dir string, id clock.SiteID) (*xshardFile, error) {
-	f, err := os.OpenFile(xshardPath(dir, id), os.O_CREATE|os.O_RDWR, 0o600)
+	xf := &xshardFile{}
+	l, err := queue.OpenLog(xshardPath(dir, id), 0, func(body []byte) error {
+		var rec xshardRec
+		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rec); err != nil {
+			return err
+		}
+		if rec.Commit {
+			xf.pending.Store(nil)
+		} else {
+			xf.pending.Store(&rec.Parts)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: open cross-shard journal: %w", err)
 	}
-	xf := &xshardFile{f: f}
-	buf, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("core: read cross-shard journal: %w", err)
-	}
-	off := 0
-	for off+4 <= len(buf) {
-		n := int(decodeU64(buf[off : off+4]))
-		if off+4+n > len(buf) {
-			break // torn tail
-		}
-		var rec xshardRec
-		if err := gob.NewDecoder(bytes.NewReader(buf[off+4 : off+4+n])).Decode(&rec); err != nil {
-			break // corrupt tail: everything before it was intact
-		}
-		if rec.Commit {
-			xf.pending = nil
-		} else {
-			xf.pending = rec.Parts
-		}
-		off += 4 + n
-	}
-	if off < len(buf) {
-		if err := f.Truncate(int64(off)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("core: trim cross-shard journal: %w", err)
-		}
-	}
-	if _, err := f.Seek(int64(off), io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	xf.size = int64(off)
+	xf.log = l
 	return xf, nil
 }
 
-// append writes one record; intents are fsynced before returning (the
-// durability is the protocol), resolution markers are not (a lost
-// marker only costs an idempotent re-broadcast on the next restart).
-func (xf *xshardFile) append(rec xshardRec, sync bool) error {
+func encodeXShard(rec xshardRec) ([]byte, error) {
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(rec); err != nil {
-		return fmt.Errorf("core: encode cross-shard record: %w", err)
+		return nil, fmt.Errorf("core: encode cross-shard record: %w", err)
 	}
-	n := body.Len()
-	hdr := []byte{byte(n), byte(n >> 8), byte(n >> 16), byte(n >> 24)}
-	if _, err := xf.f.Write(hdr); err != nil {
-		return fmt.Errorf("core: append cross-shard record: %w", err)
-	}
-	if _, err := xf.f.Write(body.Bytes()); err != nil {
-		return fmt.Errorf("core: append cross-shard record: %w", err)
-	}
-	if sync {
-		if err := xf.f.Sync(); err != nil { //esrvet:ignore A8 the decision record must be durable before any shard broadcasts; xf.mu serializes appends by design
-			return fmt.Errorf("core: sync cross-shard record: %w", err)
-		}
-	}
-	xf.size += int64(4 + n)
-	return nil
+	return body.Bytes(), nil
 }
 
-// begin durably records a decided cross-shard burst.
+// begin durably records a decided cross-shard burst: the durability is
+// the protocol.
 func (xf *xshardFile) begin(parts [][]byte) error {
-	xf.mu.Lock()
-	defer xf.mu.Unlock()
-	if xf.pending == nil && xf.size > xshardCompactAt {
-		// Everything on disk is resolved; restart the journal.  A crash
-		// between truncate and the append below leaves an empty journal
-		// and nothing broadcast — atomically nothing happened.
-		if err := xf.f.Truncate(0); err != nil {
-			return fmt.Errorf("core: compact cross-shard journal: %w", err)
-		}
-		if _, err := xf.f.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
-		xf.size = 0
-	}
-	if err := xf.append(xshardRec{Parts: parts}, true); err != nil { //esrvet:ignore A8 the intent must be durable before any shard's reservation broadcasts; xf.mu serializes appends by design
+	body, err := encodeXShard(xshardRec{Parts: parts})
+	if err != nil {
 		return err
 	}
-	xf.pending = parts
+	if xf.log.Size() > xshardCompactAt {
+		err = xf.log.Compact(body)
+	} else {
+		err = xf.log.Append(true, body)
+	}
+	if err != nil {
+		return fmt.Errorf("core: record cross-shard intent: %w", err)
+	}
+	xf.pending.Store(&parts)
 	return nil
 }
 
 // end marks the last intent resolved (every part durably enqueued on
-// every link).
+// every link).  The marker is not fsynced: losing it only costs an
+// idempotent re-broadcast on the next restart.
 func (xf *xshardFile) end() error {
-	xf.mu.Lock()
-	defer xf.mu.Unlock()
-	if xf.pending == nil {
+	if xf.takePending() == nil {
 		return nil
 	}
-	if err := xf.append(xshardRec{Commit: true}, false); err != nil { //esrvet:ignore A8 the resolution marker rides the same serialized journal; a torn write is re-resolved at restart
+	body, err := encodeXShard(xshardRec{Commit: true})
+	if err != nil {
 		return err
 	}
-	xf.pending = nil
+	if err := xf.log.Append(false, body); err != nil {
+		return fmt.Errorf("core: record cross-shard resolution: %w", err)
+	}
+	xf.pending.Store(nil)
 	return nil
 }
 
 // takePending returns the unresolved intent's parts, if any.
 func (xf *xshardFile) takePending() [][]byte {
-	xf.mu.Lock()
-	defer xf.mu.Unlock()
-	return xf.pending
+	if p := xf.pending.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
-func (xf *xshardFile) close() {
-	xf.mu.Lock()
-	defer xf.mu.Unlock()
-	if xf.f != nil {
-		xf.f.Close()
-		xf.f = nil
-	}
-}
+func (xf *xshardFile) close() { xf.log.Close() }
 
 // beginCrossShard durably records a decided cross-shard burst against
 // its origin before any part of it broadcasts.  In-memory clusters (no

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -142,14 +143,14 @@ func TestCompactionCrashPoints(t *testing.T) {
 			for i := uint64(1); i <= 10; i++ {
 				q.Enqueue(Message{ID: i, Payload: []byte{byte(i)}})
 			}
-			q.crashPoint = point
+			q.log.crashPoint = point
 			// Drive the ack batch; compaction triggers and "crashes".
 			if err := q.AckBatch([]uint64{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
 				t.Fatalf("AckBatch: %v", err)
 			}
 			// The crash abandoned the handle mid-compaction.  Reopen the
 			// path as a recovery would.
-			q.f.Close()
+			q.log.f.Close()
 
 			q2, err := Open(path)
 			if err != nil {
@@ -253,4 +254,77 @@ func TestReplayDistinguishesTornTailFromCorruption(t *testing.T) {
 			t.Errorf("corruption offset = %d, want %d", ce.Offset, st.Size())
 		}
 	})
+}
+
+// TestCompactionKeepsConcurrentEnqueues races enqueues against the
+// compactions acks trigger: every message that was enqueued and never
+// acked must survive a reopen, whichever moment a compaction hit.
+func TestCompactionKeepsConcurrentEnqueues(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "q.journal")
+	q, err := OpenOptions(path, Options{CompactMinRecords: 8, SeenRetention: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const producers, per = 4, 300
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if err := q.Enqueue(Message{ID: uint64(p*per + i + 1)}); err != nil {
+					t.Errorf("Enqueue: %v", err)
+					return
+				}
+			}
+		}(p)
+	}
+	// The consumer acks only even IDs, so compactions keep triggering
+	// while odd IDs stay live.
+	var cwg sync.WaitGroup
+	cwg.Add(1)
+	go func() {
+		defer cwg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			all, err := q.All()
+			if err != nil {
+				return
+			}
+			var even []uint64
+			for _, m := range all {
+				if m.ID%2 == 0 {
+					even = append(even, m.ID)
+				}
+			}
+			if err := q.AckBatch(even); err != nil {
+				t.Errorf("AckBatch: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	cwg.Wait()
+	q.Close()
+	q2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q2.Close()
+	all, _ := q2.All()
+	got := make(map[uint64]bool, len(all))
+	for _, m := range all {
+		got[m.ID] = true
+	}
+	for id := uint64(1); id <= producers*per; id += 2 {
+		if !got[id] {
+			t.Fatalf("enqueued, never acked message %d lost across reopen", id)
+		}
+	}
 }

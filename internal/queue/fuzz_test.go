@@ -1,17 +1,27 @@
 package queue
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"esr/internal/et"
+	"esr/internal/op"
 )
 
-// FuzzJournalRecovery feeds arbitrary bytes to the journal reader: Open
-// must never panic, and must either produce a usable queue (recovering
-// any intact record prefix, truncating a torn tail) or reject the file
-// with a diagnosable *CorruptError — never any other failure.  When it
-// recovers, the queue must accept appends that survive a further reopen.
+// FuzzJournalRecovery feeds arbitrary bytes to the journal reader every
+// journal shares, under both kinds of record body: the queue's gob
+// records and a fixed 16-byte binary record (the intent and sequencer
+// state journals' kind).  Opening must never panic, and must either
+// recover (keeping any intact record prefix, truncating a torn tail) or
+// reject the file with a diagnosable *CorruptError — never any other
+// failure.  A recovered journal must accept appends that survive a
+// further reopen.
 func FuzzJournalRecovery(f *testing.F) {
 	// Seed with real journal prefixes plus corruptions.
 	dir, err := os.MkdirTemp("", "fuzzseed")
@@ -77,20 +87,49 @@ func FuzzJournalRecovery(f *testing.F) {
 	f.Add(compact)
 	f.Add(compact[:len(compact)/2])
 
+	// The other journals on the same log: a write-ahead log of gob MSets
+	// and a reservation-intent journal of 16-byte records.
+	writeLog := func(name string, bodies ...[]byte) []byte {
+		path := filepath.Join(dir, name)
+		l, err := OpenLog(path, 0, func([]byte) error { return nil })
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := l.Append(true, bodies...); err != nil {
+			f.Fatal(err)
+		}
+		l.Close()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
+	}
+	var msets [][]byte
+	for i := uint64(1); i <= 3; i++ {
+		var body bytes.Buffer
+		m := et.MSet{ET: et.MakeID(1, i), Origin: 1, Ops: []op.Op{op.IncOp("x", 1)}}
+		if err := gob.NewEncoder(&body).Encode(m); err != nil {
+			f.Fatal(err)
+		}
+		msets = append(msets, body.Bytes())
+	}
+	walJournal := writeLog("wal.journal", msets...)
+	f.Add(walJournal)
+	f.Add(walJournal[:len(walJournal)-4])
+	intentJournal := writeLog("intent.journal", intentBody(10, 3), intentBody(13, 5))
+	f.Add(intentJournal)
+	f.Add(intentJournal[:len(intentJournal)-3])
+
 	f.Fuzz(func(t *testing.T, journal []byte) {
+		checkFixedRecordRecovery(t, journal)
 		path := filepath.Join(t.TempDir(), "q.journal")
 		if err := os.WriteFile(path, journal, 0o600); err != nil {
 			t.Fatal(err)
 		}
 		q, err := Open(path)
 		if err != nil {
-			var ce *CorruptError
-			if !errors.As(err, &ce) {
-				t.Fatalf("Open on arbitrary bytes must recover or report corruption, got %v", err)
-			}
-			if ce.Offset < 0 || ce.Offset > int64(len(journal)) {
-				t.Fatalf("corruption offset %d out of range [0,%d]", ce.Offset, len(journal))
-			}
+			checkCorrupt(t, err, journal)
 			return
 		}
 		// The recovered queue must be fully usable.
@@ -112,4 +151,59 @@ func FuzzJournalRecovery(f *testing.F) {
 			t.Fatalf("reopen lost state: %d != %d", q2.Len(), n)
 		}
 	})
+}
+
+// intentBody is one 16-byte little-endian (start, count) record.
+func intentBody(start, count uint64) []byte {
+	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, start), count)
+}
+
+// checkCorrupt requires err to be a *CorruptError pointing inside the
+// journal.
+func checkCorrupt(t *testing.T, err error, journal []byte) {
+	t.Helper()
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("opening arbitrary bytes must recover or report corruption, got %v", err)
+	}
+	if ce.Offset < 0 || ce.Offset > int64(len(journal)) {
+		t.Fatalf("corruption offset %d out of range [0,%d]", ce.Offset, len(journal))
+	}
+}
+
+// checkFixedRecordRecovery opens journal as a log of 16-byte records:
+// it must recover or report corruption, and a recovered log must keep
+// one more record across an append and a reopen.
+func checkFixedRecordRecovery(t *testing.T, journal []byte) {
+	path := filepath.Join(t.TempDir(), "intent.journal")
+	if err := os.WriteFile(path, journal, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	decode := func(body []byte) error {
+		if len(body) != 16 {
+			return fmt.Errorf("record is %d bytes, want 16", len(body))
+		}
+		n++
+		return nil
+	}
+	l, err := OpenLog(path, 0, decode)
+	if err != nil {
+		checkCorrupt(t, err, journal)
+		return
+	}
+	if err := l.Append(true, intentBody(1, 1)); err != nil {
+		t.Fatalf("Append after recovery: %v", err)
+	}
+	l.Close()
+	before := n
+	n = 0
+	l2, err := OpenLog(path, 0, decode)
+	if err != nil {
+		t.Fatalf("second open: %v", err)
+	}
+	l2.Close()
+	if n != before+1 {
+		t.Fatalf("reopen kept %d records, want %d", n, before+1)
+	}
 }

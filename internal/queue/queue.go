@@ -11,7 +11,9 @@
 // injection tests).  A Delivery agent drains a queue through an unreliable
 // send function, retrying until each message is acknowledged.
 //
-// The file-backed queue is built for throughput as well as durability:
+// The file-backed queue sits on Log, the append-only record log every
+// journal in the system shares, and is built for throughput as well as
+// durability:
 //
 //   - Group commit: concurrent writers stage their records and the first
 //     one to reach the journal flushes everything staged with a single
@@ -30,15 +32,10 @@
 package queue
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -80,11 +77,6 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("queue: corrupt journal record in %s at offset %d: %s", e.Path, e.Offset, e.Reason)
 }
 
-// maxRecordSize bounds a single journal record.  Writers never produce
-// records anywhere near this large, so a complete length prefix above it
-// can only be corruption, not a torn write.
-const maxRecordSize = 1 << 26
-
 // Queue is a stable FIFO with acknowledge-to-remove semantics.
 // Implementations must be safe for concurrent use.
 type Queue interface {
@@ -122,10 +114,11 @@ type Syncer interface {
 	Syncs() uint64
 }
 
-// Metrics instruments a stable queue.  Every field is optional (nil
-// fields are no-ops, per the metrics package's nil contract); Syncs,
-// when set, becomes the queue's fsync counter — the one Syncs() reads —
-// unifying the ad-hoc per-queue counter with the cluster registry.
+// Metrics instruments a stable queue or a bare Log (which reads only the
+// fsync and compaction fields).  Every field is optional (nil fields are
+// no-ops, per the metrics package's nil contract); Syncs, when set,
+// becomes the fsync counter — the one Syncs() reads — unifying the
+// ad-hoc per-journal counter with the cluster registry.
 type Metrics struct {
 	// Depth tracks the number of unacknowledged messages.
 	Depth *metrics.Gauge
@@ -349,64 +342,40 @@ type Options struct {
 	SeenRetention int
 }
 
+// memState is Mem under an unexported name, so File embeds it without
+// exporting a way around its journal.
+type memState = Mem
+
 const (
 	defaultCompactMinRecords = 1024
 	defaultSeenRetention     = 4096
-	compactSuffix            = ".compact"
 )
-
-// compaction crash points, settable only by tests to prove crash safety
-// of each step.
-const (
-	crashNone           = iota
-	crashAfterTempWrite // temp journal written and synced, before rename
-	crashAfterRename    // renamed over the journal, before handle swap
-)
-
-// errSimulatedCrash marks a test-injected crash inside compaction.
-var errSimulatedCrash = errors.New("queue: simulated crash")
 
 // File is a journal-backed Queue.  Every Enqueue and Ack is appended to
-// the journal as a length-prefixed gob record and flushed before
-// returning; Open replays the journal to rebuild in-memory state, so a
-// crash (simulated by Close or by simply abandoning the handle) loses
-// nothing that was acknowledged to the caller.  A torn final record — the
-// artifact of a crash mid-write — is detected by the length prefix and
-// truncated away during replay; damage anywhere else surfaces as a
+// the journal, a Log of gob records, and fsynced before returning; Open
+// replays the journal to rebuild in-memory state, so a crash (simulated
+// by Close or by simply abandoning the handle) loses nothing that was
+// acknowledged to the caller.  Recovery follows the Log's rule: a torn
+// final record is truncated away, damage anywhere else surfaces as a
 // *CorruptError.
 //
-// Concurrent writers group-commit: records are staged under the state
-// lock and the first writer through the commit lock flushes every staged
-// record with one write and one fsync.  The journal compacts itself once
-// dead records dominate (see Options).
+// Records are staged under the state lock, so journal order is
+// in-memory order, and flushed outside it, so concurrent writers
+// group-commit.  The journal compacts itself once dead records dominate
+// (see Options).
 type File struct {
-	path string
+	// memState holds the in-memory state (guarded by its mu) and serves
+	// the read-only methods; File overrides every method that writes.
+	memState
 	opts Options
+	log  *Log
 
-	mu      sync.Mutex
-	f       *os.File
-	items   []Message
-	seen    map[uint64]bool
 	acked   []uint64 // acked IDs in ack order; the prunable part of seen
 	records int      // complete records in the journal (live + dead)
-	closed  bool
-
-	// Group commit: stage accumulates encoded records; waiters get the
-	// result of the flush that covered their records.  commitMu is held
-	// by the flush leader for the duration of write+fsync.
-	commitMu sync.Mutex
-	stage    []byte
-	waiters  []chan error
-
-	// syncs is the fsync counter Syncs() reports.  It starts as a
-	// standalone counter and is replaced by the cluster registry's
-	// child when the queue is instrumented (SetMetrics), so benchmarks
-	// and the metrics endpoint read the same number.
-	syncs      *metrics.Counter
-	met        Metrics
-	enqueuedAt map[uint64]time.Time
-
-	crashPoint int // test-only compaction crash injection
+	// enqueuing counts EnqueueBatch calls between staging their records
+	// and adding their messages to items.  Compaction waits them out:
+	// their records may already be on disk while items lacks them.
+	enqueuing int
 }
 
 // Open opens (creating if necessary) the journal at path and replays it,
@@ -424,18 +393,12 @@ func OpenOptions(path string, opts Options) (*File, error) {
 	if opts.SeenRetention < 0 {
 		opts.SeenRetention = 0
 	}
-	// A crash between writing the compaction temp file and renaming it
-	// leaves the temp behind; the journal itself is still authoritative.
-	os.Remove(path + compactSuffix)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o600)
+	q := &File{memState: memState{seen: make(map[uint64]bool)}, opts: opts}
+	l, err := OpenLog(path, opts.FlushWindow, q.replay)
 	if err != nil {
-		return nil, fmt.Errorf("queue: open journal: %w", err)
-	}
-	q := &File{path: path, opts: opts, f: f, seen: make(map[uint64]bool), syncs: metrics.NewCounter()}
-	if err := q.replay(); err != nil {
-		f.Close()
 		return nil, err
 	}
+	q.log = l
 	return q, nil
 }
 
@@ -444,157 +407,55 @@ func OpenOptions(path string, opts Options) (*File, error) {
 // zero (replay happens before instrumentation and issues no fsyncs, so
 // nothing is lost).
 func (q *File) SetMetrics(m Metrics) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.met = m
-	if m.Syncs != nil {
-		q.syncs = m.Syncs
-	}
-	if m.DeliverSeconds != nil {
-		q.enqueuedAt = make(map[uint64]time.Time)
-	}
-	m.Depth.Set(int64(len(q.items)))
+	q.log.SetMetrics(m)
+	q.memState.SetMetrics(m)
 }
 
-// replay rebuilds in-memory state from the journal.  A torn tail is
-// truncated; mid-file corruption aborts with a *CorruptError.
-func (q *File) replay() error {
-	if _, err := q.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("queue: seek journal: %w", err)
+// replay applies one journal record to the in-memory state.
+func (q *File) replay(body []byte) error {
+	var r record
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&r); err != nil {
+		return err
 	}
-	br := bufio.NewReader(q.f)
-	var good int64 // offset just past the last complete record
-	var lenBuf [4]byte
-	for {
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			break // clean EOF, or a torn length prefix
-		}
-		n := binary.LittleEndian.Uint32(lenBuf[:])
-		if n > maxRecordSize {
-			// Length prefixes are written whole from real record sizes; a
-			// complete prefix this large cannot be a torn write.
-			return &CorruptError{Path: q.path, Offset: good,
-				Reason: fmt.Sprintf("record length %d exceeds the %d-byte limit", n, maxRecordSize)}
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(br, body); err != nil {
-			break // torn body: the record never finished writing
-		}
-		var r record
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&r); err != nil {
-			// The record is complete on disk but does not parse: that is
-			// damage, not a crash artifact.
-			return &CorruptError{Path: q.path, Offset: good,
-				Reason: fmt.Sprintf("undecodable record: %v", err)}
-		}
-		good += 4 + int64(n)
-		q.records++
-		switch {
-		case len(r.Seen) > 0:
-			for _, id := range r.Seen {
-				if !q.seen[id] {
-					q.seen[id] = true
-					q.acked = append(q.acked, id)
-				}
-			}
-		case r.Ack:
-			for i, m := range q.items {
-				if m.ID == r.Msg.ID {
-					q.items = append(q.items[:i], q.items[i+1:]...)
-					q.acked = append(q.acked, r.Msg.ID)
-					break
-				}
-			}
-		default:
-			if !q.seen[r.Msg.ID] {
-				q.seen[r.Msg.ID] = true
-				q.items = append(q.items, r.Msg)
+	q.records++
+	switch {
+	case len(r.Seen) > 0:
+		for _, id := range r.Seen {
+			if !q.seen[id] {
+				q.seen[id] = true
+				q.acked = append(q.acked, id)
 			}
 		}
-	}
-	if err := q.f.Truncate(good); err != nil {
-		return fmt.Errorf("queue: truncate torn journal tail: %w", err)
-	}
-	if _, err := q.f.Seek(good, io.SeekStart); err != nil {
-		return fmt.Errorf("queue: seek after replay: %w", err)
+	case r.Ack:
+		for i, m := range q.items {
+			if m.ID == r.Msg.ID {
+				q.items = append(q.items[:i], q.items[i+1:]...)
+				q.acked = append(q.acked, r.Msg.ID)
+				break
+			}
+		}
+	default:
+		if !q.seen[r.Msg.ID] {
+			q.seen[r.Msg.ID] = true
+			q.items = append(q.items, r.Msg)
+		}
 	}
 	return nil
 }
 
-// encodeRecord appends one length-prefixed record to buf.
-func encodeRecord(buf *bytes.Buffer, r record) error {
+// encodeRecord returns one record's gob body.
+func encodeRecord(r record) ([]byte, error) {
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(r); err != nil {
-		return fmt.Errorf("queue: encode journal record: %w", err)
+		return nil, fmt.Errorf("queue: encode journal record: %w", err)
 	}
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(body.Len()))
-	buf.Write(lenBuf[:])
-	buf.Write(body.Bytes())
-	return nil
-}
-
-// stageLocked stages encoded records for the next group commit and
-// returns the channel that will carry that flush's result.  Callers hold
-// q.mu.
-func (q *File) stageLocked(encoded []byte, recs int) chan error {
-	q.stage = append(q.stage, encoded...)
-	q.records += recs
-	ch := make(chan error, 1)
-	q.waiters = append(q.waiters, ch)
-	return ch
-}
-
-// flushWait drives group commit until ch resolves.  The first caller
-// through commitMu becomes the leader: it lingers for the flush window,
-// then writes and fsyncs everything staged and wakes every waiter.
-// Later callers find their result already delivered.
-func (q *File) flushWait(ch chan error) error {
-	q.commitMu.Lock()
-	select {
-	case err := <-ch:
-		q.commitMu.Unlock()
-		return err
-	default:
-	}
-	if q.opts.FlushWindow > 0 {
-		time.Sleep(q.opts.FlushWindow) //esrvet:ignore A8 group-commit leader lingers for the flush window on purpose; commitMu is the batching gate
-	}
-	q.mu.Lock()
-	data, waiters := q.stage, q.waiters
-	q.stage, q.waiters = nil, nil
-	f, closed := q.f, q.closed
-	q.mu.Unlock()
-	var err error
-	switch {
-	case closed:
-		err = ErrClosed
-	default:
-		if _, werr := f.Write(data); werr != nil {
-			err = fmt.Errorf("queue: journal append: %w", werr)
-		} else {
-			t0 := time.Now()
-			if serr := f.Sync(); serr != nil { //esrvet:ignore A8 the leader's one fsync commits the whole cohort; commitMu held by design (group commit)
-				err = fmt.Errorf("queue: journal sync: %w", serr)
-			} else {
-				q.syncs.Inc()
-				q.met.SyncSeconds.Observe(int64(time.Since(t0)))
-			}
-		}
-	}
-	for _, w := range waiters {
-		w <- err
-	}
-	q.commitMu.Unlock()
-	// Our channel was staged before we took commitMu, so the loop above
-	// necessarily resolved it with err.
-	return err
+	return body.Bytes(), nil
 }
 
 // Syncs implements Syncer.  When the queue is instrumented this is a
 // thin read of the registry's counter, so benchmarks and the metrics
 // endpoint agree.
-func (q *File) Syncs() uint64 { return q.syncs.Value() }
+func (q *File) Syncs() uint64 { return q.log.Syncs() }
 
 // Enqueue implements Queue.
 func (q *File) Enqueue(m Message) error { return q.EnqueueBatch([]Message{m}) }
@@ -608,7 +469,7 @@ func (q *File) EnqueueBatch(msgs []Message) error {
 		return ErrClosed
 	}
 	fresh := make([]Message, 0, len(msgs))
-	var buf bytes.Buffer
+	bodies := make([][]byte, 0, len(msgs))
 	var now time.Time // one clock read per batch keeps stamping cheap
 	if q.enqueuedAt != nil {
 		now = time.Now()
@@ -617,12 +478,14 @@ func (q *File) EnqueueBatch(msgs []Message) error {
 		if q.seen[m.ID] {
 			continue
 		}
-		if err := encodeRecord(&buf, record{Msg: m}); err != nil {
+		body, err := encodeRecord(record{Msg: m})
+		if err != nil {
 			q.mu.Unlock()
 			return err
 		}
 		q.seen[m.ID] = true
 		fresh = append(fresh, m)
+		bodies = append(bodies, body)
 		if q.enqueuedAt != nil {
 			q.enqueuedAt[m.ID] = now
 		}
@@ -631,43 +494,20 @@ func (q *File) EnqueueBatch(msgs []Message) error {
 		q.mu.Unlock()
 		return nil
 	}
-	ch := q.stageLocked(buf.Bytes(), len(fresh))
+	q.records += len(fresh)
+	q.enqueuing++
+	ch := q.log.stageRecords(true, bodies)
 	q.mu.Unlock()
-	if err := q.flushWait(ch); err != nil {
-		return err
-	}
+	err := q.log.wait(ch)
 	q.mu.Lock()
-	q.items = append(q.items, fresh...)
-	q.met.Enqueued.Add(uint64(len(fresh)))
-	q.met.Depth.Set(int64(len(q.items)))
+	q.enqueuing--
+	if err == nil {
+		q.items = append(q.items, fresh...)
+		q.met.Enqueued.Add(uint64(len(fresh)))
+		q.met.Depth.Set(int64(len(q.items)))
+	}
 	q.mu.Unlock()
-	return nil
-}
-
-// Peek implements Queue.
-func (q *File) Peek() (Message, bool, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return Message{}, false, ErrClosed
-	}
-	if len(q.items) == 0 {
-		return Message{}, false, nil
-	}
-	return q.items[0], true, nil
-}
-
-// PeekN implements Queue.
-func (q *File) PeekN(n int) ([]Message, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return nil, ErrClosed
-	}
-	if n > len(q.items) {
-		n = len(q.items)
-	}
-	return append([]Message(nil), q.items[:n]...), nil
+	return err
 }
 
 // Ack implements Queue.
@@ -686,16 +526,18 @@ func (q *File) AckBatch(ids []uint64) error {
 	for _, m := range q.items {
 		present[m.ID] = true
 	}
-	var buf bytes.Buffer
+	var bodies [][]byte
 	found := ids[:0:0]
 	for _, id := range ids {
 		if !present[id] {
 			continue
 		}
-		if err := encodeRecord(&buf, record{Ack: true, Msg: Message{ID: id}}); err != nil {
+		body, err := encodeRecord(record{Ack: true, Msg: Message{ID: id}})
+		if err != nil {
 			q.mu.Unlock()
 			return err
 		}
+		bodies = append(bodies, body)
 		found = append(found, id)
 	}
 	if len(found) == 0 {
@@ -707,70 +549,28 @@ func (q *File) AckBatch(ids []uint64) error {
 	q.met.Acked.Add(uint64(len(found)))
 	q.met.Depth.Set(int64(len(q.items)))
 	q.observeDeliveredLocked(found)
-	ch := q.stageLocked(buf.Bytes(), len(found))
+	q.records += len(found)
+	ch := q.log.stageRecords(true, bodies)
 	q.mu.Unlock()
-	if err := q.flushWait(ch); err != nil {
+	if err := q.log.wait(ch); err != nil {
 		return err
 	}
 	q.maybeCompact()
 	return nil
 }
 
-// observeDeliveredLocked records enqueue→ack latency for instrumented
-// queues.  Caller holds q.mu.
-func (q *File) observeDeliveredLocked(ids []uint64) {
-	if q.enqueuedAt == nil {
-		return
-	}
-	now := time.Now()
-	for _, id := range ids {
-		if t0, ok := q.enqueuedAt[id]; ok {
-			q.met.DeliverSeconds.Observe(int64(now.Sub(t0)))
-			delete(q.enqueuedAt, id)
-		}
-	}
-}
-
-// All implements Queue.
-func (q *File) All() ([]Message, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return nil, ErrClosed
-	}
-	return append([]Message(nil), q.items...), nil
-}
-
-// Len implements Queue.
-func (q *File) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}
-
 // Close implements Queue.  It waits for any in-flight group commit, so
 // records whose Enqueue/Ack already returned are on disk.
 func (q *File) Close() error {
-	q.commitMu.Lock()
-	defer q.commitMu.Unlock()
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return nil
-	}
-	q.closed = true
-	// Anything still staged but never flushed was never acknowledged to
-	// its writer; fail those writers rather than leaving them blocked.
-	for _, w := range q.waiters {
-		w <- ErrClosed
-	}
-	q.stage, q.waiters = nil, nil
-	return q.f.Close()
+	q.memState.Close()
+	return q.log.Close()
 }
 
 // maybeCompact compacts the journal when it has grown past the
 // configured floor and dead (acknowledged) records outnumber live
-// messages.  Compaction failures are deliberately swallowed: the journal
+// messages.  It rewrites the journal to its live state: one Seen record
+// carrying the retained dedup horizon, then every unacknowledged
+// message.  Compaction failures are deliberately swallowed: the journal
 // stays valid as-is and a later ack retries.
 func (q *File) maybeCompact() {
 	q.mu.Lock()
@@ -779,16 +579,27 @@ func (q *File) maybeCompact() {
 	if !need {
 		return
 	}
-	q.commitMu.Lock()
-	defer q.commitMu.Unlock()
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	// Re-check under both locks; skip if another writer staged records
-	// in the meantime (the next ack will retrigger).
-	if len(q.stage) > 0 || !q.compactNeededLocked() {
-		return
+	dropped := 0
+	err := q.log.compact(func() ([][]byte, bool) {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		// Re-check now that no flush is in flight; skip while an enqueue
+		// is between journal and items (the next ack will retrigger).
+		if q.enqueuing > 0 || !q.compactNeededLocked() {
+			return nil, false
+		}
+		bodies, err := q.liveRecordsLocked()
+		if err != nil {
+			return nil, false
+		}
+		dropped = q.records - len(bodies)
+		return bodies, true
+	})
+	if err == nil {
+		q.mu.Lock()
+		q.records -= dropped
+		q.mu.Unlock()
 	}
-	_ = q.compactLocked() //esrvet:ignore A8 compaction rewrites and fsyncs the journal under commitMu so no commit interleaves
 }
 
 func (q *File) compactNeededLocked() bool {
@@ -798,89 +609,33 @@ func (q *File) compactNeededLocked() bool {
 	return q.records >= q.opts.CompactMinRecords && q.records > 2*len(q.items)
 }
 
-// compactLocked rewrites the journal to just its live state: one Seen
-// record carrying the retained dedup horizon, then every unacknowledged
-// message.  The rewrite goes to a temporary file that atomically replaces
-// the journal, so a crash at any point leaves a complete journal — the
-// old one before the rename, the new one after.  Callers hold both
-// commitMu (no flush in flight) and mu.
-func (q *File) compactLocked() error {
-	// Prune the dedup horizon: acked IDs beyond the retention window
-	// stop being remembered.  Live messages always stay in seen via
-	// their rewritten enqueue records.
+// liveRecordsLocked prunes the dedup horizon to the retention window and
+// encodes the live state compaction writes.  Callers hold q.mu.
+func (q *File) liveRecordsLocked() ([][]byte, error) {
+	// Acked IDs beyond the retention window stop being remembered.  Live
+	// messages always stay in seen via their rewritten enqueue records.
 	if over := len(q.acked) - q.opts.SeenRetention; over > 0 {
 		for _, id := range q.acked[:over] {
 			delete(q.seen, id)
 		}
 		q.acked = append([]uint64(nil), q.acked[over:]...)
 	}
-	var buf bytes.Buffer
-	recs := 0
+	var bodies [][]byte
 	if len(q.acked) > 0 {
-		if err := encodeRecord(&buf, record{Seen: append([]uint64(nil), q.acked...)}); err != nil {
-			return err
+		body, err := encodeRecord(record{Seen: append([]uint64(nil), q.acked...)})
+		if err != nil {
+			return nil, err
 		}
-		recs++
+		bodies = append(bodies, body)
 	}
 	for _, m := range q.items {
-		if err := encodeRecord(&buf, record{Msg: m}); err != nil {
-			return err
+		body, err := encodeRecord(record{Msg: m})
+		if err != nil {
+			return nil, err
 		}
-		recs++
+		bodies = append(bodies, body)
 	}
-	tmpPath := q.path + compactSuffix
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o600)
-	if err != nil {
-		return fmt.Errorf("queue: create compaction file: %w", err)
-	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("queue: write compaction file: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("queue: sync compaction file: %w", err)
-	}
-	q.syncs.Inc()
-	q.met.Compactions.Inc()
-	if q.crashPoint == crashAfterTempWrite {
-		tmp.Close()
-		return errSimulatedCrash
-	}
-	if err := os.Rename(tmpPath, q.path); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("queue: swap compacted journal: %w", err)
-	}
-	if err := syncDir(filepath.Dir(q.path)); err != nil {
-		q.met.DirSyncErrors.Inc()
-	}
-	if q.crashPoint == crashAfterRename {
-		tmp.Close()
-		return errSimulatedCrash
-	}
-	// tmp's descriptor now refers to the renamed journal, positioned at
-	// its end; it replaces the stale handle.
-	q.f.Close()
-	q.f = tmp
-	q.records = recs
-	return nil
-}
-
-// syncDir fsyncs a directory so a rename inside it is durable.  Best
-// effort — some filesystems refuse directory fsync — but the failure is
-// reported so callers can count it instead of silently weakening the
-// rename's durability.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	d.Close()
-	return serr
+	return bodies, nil
 }
 
 // Delivery pumps messages from a stable queue through an unreliable send

@@ -42,6 +42,7 @@ import (
 	"esr/internal/clock"
 	"esr/internal/metrics"
 	"esr/internal/network"
+	"esr/internal/queue"
 	"esr/internal/trace"
 )
 
@@ -165,7 +166,7 @@ type Replica struct {
 	lastHeard   time.Time
 	timeout     time.Duration // current randomized election timeout
 	rng         *rand.Rand
-	state       *stateFile
+	state       *queue.Log
 
 	nudge chan struct{}
 	done  chan struct{}
@@ -266,7 +267,7 @@ func (r *Replica) Stop() {
 	r.wg.Wait()
 	r.mu.Lock()
 	if r.state != nil {
-		r.state.close()
+		r.state.Close()
 		r.state = nil
 	}
 	r.mu.Unlock()
@@ -543,7 +544,7 @@ func (r *Replica) advanceCommitLocked() {
 func (r *Replica) persistLocked() {
 	if r.state != nil {
 		t0 := time.Now()
-		r.state.save(stateRec{term: r.term, votedFor: r.votedFor, watermark: r.watermark})
+		saveState(r.state, stateRec{term: r.term, votedFor: r.votedFor, watermark: r.watermark})
 		r.cfg.Metrics.FsyncSeconds.Observe(int64(time.Since(t0)))
 	}
 	r.persistedWM = r.watermark

@@ -312,14 +312,15 @@ func TestStateFileCompaction(t *testing.T) {
 	if rec != (stateRec{}) {
 		t.Fatalf("fresh state not zero: %+v", rec)
 	}
-	n := compactAt/stateRecLen + 10
-	for i := 1; i <= n; i++ {
-		sf.save(stateRec{term: uint64(i), votedFor: 1, watermark: uint64(i * 3)})
+	saveState(sf, stateRec{term: 1, votedFor: 1, watermark: 3})
+	n := int(compactAt/sf.Size()) + 10 // one record's size on the log
+	for i := 2; i <= n; i++ {
+		saveState(sf, stateRec{term: uint64(i), votedFor: 1, watermark: uint64(i * 3)})
 	}
-	if sf.size > compactAt {
-		t.Fatalf("state file size %d never compacted", sf.size)
+	if sf.Size() > compactAt {
+		t.Fatalf("state file size %d never compacted", sf.Size())
 	}
-	sf.close()
+	sf.Close()
 	_, rec, err = openState(dir, 1, 0)
 	if err != nil {
 		t.Fatal(err)

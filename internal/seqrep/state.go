@@ -1,19 +1,18 @@
 // Durable replica state: term, vote and watermark, the three promises a
-// sequencer replica must not forget across kill -9.  Records append to
-// a small file with one fsync per change; the file compacts through a
-// tmp-write + rename (the same crash-safe swap the stable queues use)
-// once it outgrows its bound, and loading keeps the last intact record,
-// so a torn final append loses nothing but the unacknowledged change
-// itself.
+// sequencer replica must not forget across kill -9.  Each change appends
+// one record to a queue.Log with one fsync; once the log outgrows its
+// bound, the change is saved by compacting the log down to that one
+// record (temp write, fsync, rename, directory fsync).  Loading keeps
+// the last record, so a torn final append loses nothing but the
+// unacknowledged change itself.
 package seqrep
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 
 	"esr/internal/clock"
+	"esr/internal/queue"
 )
 
 // stateRec is one persisted snapshot of the replica's promises.
@@ -23,23 +22,13 @@ type stateRec struct {
 	watermark uint64
 }
 
-// stateRecLen is the on-disk record size: a version byte plus three
+// stateVersion guards the record layout: a version byte plus three
 // uint64s.
-const stateRecLen = 1 + 3*8
-
-// stateVersion guards the record layout.
 const stateVersion = 1
 
-// compactAt is the file size past which save rewrites the file down to
+// compactAt is the log size past which save rewrites the log down to
 // one record.
 const compactAt = 64 << 10
-
-// stateFile is the append-mostly backing file.
-type stateFile struct {
-	path string
-	f    *os.File
-	size int64
-}
 
 // statePath names one replica's per-shard state file.  Shard 0 keeps
 // the pre-sharding name so single-shard ensembles recover state written
@@ -52,94 +41,43 @@ func statePath(dir string, id clock.SiteID, shard int) string {
 }
 
 // openState opens (creating if absent) the replica's state file and
-// returns the last intact record.
-func openState(dir string, id clock.SiteID, shard int) (*stateFile, stateRec, error) {
-	path := statePath(dir, id, shard)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o600)
+// returns its last record.
+func openState(dir string, id clock.SiteID, shard int) (*queue.Log, stateRec, error) {
+	var rec stateRec
+	l, err := queue.OpenLog(statePath(dir, id, shard), 0, func(body []byte) error {
+		if len(body) != 1+3*8 || body[0] != stateVersion {
+			return fmt.Errorf("state record of %d bytes is not version %d", len(body), stateVersion)
+		}
+		rec = stateRec{
+			term:      getU64(body[1:]),
+			votedFor:  getU64(body[9:]),
+			watermark: getU64(body[17:]),
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, stateRec{}, fmt.Errorf("seqrep: open state: %w", err)
 	}
-	var rec stateRec
-	var size int64
-	buf := make([]byte, stateRecLen)
-	for {
-		n, err := io.ReadFull(f, buf)
-		if err != nil {
-			// A short or torn tail is expected after a crash mid-append;
-			// everything before it already parsed.
-			break
-		}
-		size += int64(n)
-		if buf[0] != stateVersion {
-			continue
-		}
-		rec = stateRec{
-			term:      getU64(buf[1:]),
-			votedFor:  getU64(buf[9:]),
-			watermark: getU64(buf[17:]),
-		}
-	}
-	if _, err := f.Seek(size, io.SeekStart); err != nil {
-		f.Close()
-		return nil, stateRec{}, fmt.Errorf("seqrep: seek state: %w", err)
-	}
-	return &stateFile{path: path, f: f, size: size}, rec, nil
+	return l, rec, nil
 }
 
-// save appends the record and fsyncs.  Failures panic: a replica that
-// cannot persist its promises must not keep making them (continuing
-// could grant two votes in one term after a restart, breaking the
-// no-duplicate-run guarantee).
-func (s *stateFile) save(rec stateRec) {
-	if s.size >= compactAt {
-		s.compact(rec)
-		return
-	}
-	buf := make([]byte, stateRecLen)
+// saveState makes the record durable in the state log.  Failures panic:
+// a replica that cannot persist its promises must not keep making them
+// (continuing could grant two votes in one term after a restart,
+// breaking the no-duplicate-run guarantee).
+func saveState(l *queue.Log, rec stateRec) {
+	buf := make([]byte, 1+3*8)
 	buf[0] = stateVersion
 	putU64(buf[1:], rec.term)
 	putU64(buf[9:], rec.votedFor)
 	putU64(buf[17:], rec.watermark)
-	if _, err := s.f.Write(buf); err != nil {
-		panic(fmt.Sprintf("seqrep: persist state: %v", err))
+	var err error
+	if l.Size() >= compactAt {
+		err = l.Compact(buf)
+	} else {
+		err = l.Append(true, buf)
 	}
-	if err := s.f.Sync(); err != nil {
-		panic(fmt.Sprintf("seqrep: sync state: %v", err))
-	}
-	s.size += stateRecLen
-}
-
-// compact rewrites the file down to the single current record via
-// tmp + rename, so a crash at any point leaves either the old history
-// or the new single-record file.
-func (s *stateFile) compact(rec stateRec) {
-	tmpPath := s.path + ".tmp"
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o600)
 	if err != nil {
-		panic(fmt.Sprintf("seqrep: compact state: %v", err))
-	}
-	buf := make([]byte, stateRecLen)
-	buf[0] = stateVersion
-	putU64(buf[1:], rec.term)
-	putU64(buf[9:], rec.votedFor)
-	putU64(buf[17:], rec.watermark)
-	if _, err := tmp.Write(buf); err != nil {
-		panic(fmt.Sprintf("seqrep: compact state: %v", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		panic(fmt.Sprintf("seqrep: sync compacted state: %v", err))
-	}
-	if err := os.Rename(tmpPath, s.path); err != nil {
-		panic(fmt.Sprintf("seqrep: swap compacted state: %v", err))
-	}
-	s.f.Close()
-	s.f = tmp
-	s.size = stateRecLen
-}
-
-func (s *stateFile) close() {
-	if s.f != nil {
-		s.f.Close()
-		s.f = nil
+		panic(fmt.Sprintf("seqrep: persist state: %v", err))
 	}
 }

@@ -6,56 +6,34 @@
 // failures by encapsulating it in the local message processing, which
 // assumes each site is capable of maintaining local consistency" (§2.2).
 // This package is that local capability: every applied MSet is appended
-// (length-prefixed, fsynced) before the apply is acknowledged, and on
-// restart Replay rebuilds the site's store by re-applying the log.
-// Together with the journal-backed inbound queues of internal/queue, a
-// crashed site recovers to exactly its pre-crash state and resumes
-// draining its queue.
-//
-// Wrap composes the logging with any method's ApplyFunc, so every
-// replica-control method gains durability without modification.
+// (one gob record on the shared queue.Log, fsynced) before the apply is
+// acknowledged, and on restart RebuildVersioned rebuilds the site's
+// store by re-applying the log.  Together with the journal-backed
+// inbound queues of internal/queue, a crashed site recovers to exactly
+// its pre-crash state and resumes draining its queue.
 package wal
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 	"time"
 
 	"esr/internal/et"
 	"esr/internal/metrics"
 	"esr/internal/op"
-	"esr/internal/replica"
+	"esr/internal/queue"
 	"esr/internal/storage"
 	"esr/internal/trace"
 )
 
 // WAL is an append-only, crash-safe log of applied MSets.  Concurrent
-// appends group-commit: writers stage their encoded records and the
-// first one through becomes the flush leader, paying a single Write and
-// Sync for everything staged while it (optionally) waited out the flush
-// window.
+// appends group-commit on the underlying queue.Log: one write and one
+// fsync cover every batch staged while a flush was in flight.
 type WAL struct {
-	mu          sync.Mutex
-	f           *os.File
-	closed      bool
-	flushWindow time.Duration
-
-	commitMu sync.Mutex
-	stage    []byte
-	waiters  []chan error
-
-	// syncs is the fsync counter Syncs() reports; SetMetrics swaps in
-	// the cluster registry's counter so benchmarks and the metrics
-	// endpoint read the same number.
-	syncs       *metrics.Counter
-	syncSeconds *metrics.Histogram
-	appends     *metrics.Counter
+	log     *queue.Log
+	appends *metrics.Counter
 
 	// ring, when set, receives one wal-fsync span per durably appended
 	// MSet, attributed to site, so timelines show the durability leg.
@@ -64,35 +42,24 @@ type WAL struct {
 }
 
 // Open opens (creating if needed) the log at path and returns it along
-// with every complete record recovered from it; a torn tail from a
-// crash mid-append is truncated away.
+// with every complete record recovered from it.  Recovery follows the
+// queue.Log rule: a torn tail from a crash mid-append is truncated away,
+// and a damaged record anywhere else fails with *queue.CorruptError
+// rather than silently dropping the applied MSets after it.
 func Open(path string) (*WAL, []et.MSet, error) {
-	return OpenWindow(path, 0)
-}
-
-// OpenWindow is Open with a group-commit flush window: the flush leader
-// sleeps for window before syncing, letting concurrent appenders pile
-// onto the same fsync.  A zero window still coalesces writers that
-// collide naturally, without adding latency.
-func OpenWindow(path string, window time.Duration) (*WAL, []et.MSet, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o600)
+	var records []et.MSet
+	l, err := queue.OpenLog(path, 0, func(body []byte) error {
+		var m et.MSet
+		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&m); err != nil {
+			return err
+		}
+		records = append(records, m)
+		return nil
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open: %w", err)
 	}
-	records, good, err := replay(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("wal: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("wal: seek: %w", err)
-	}
-	return &WAL{f: f, flushWindow: window, syncs: metrics.NewCounter()}, records, nil
+	return &WAL{log: l}, records, nil
 }
 
 // Metrics instruments the log.  All fields optional; Syncs, when set,
@@ -108,12 +75,7 @@ type Metrics struct {
 
 // SetMetrics installs instrumentation.  Call before concurrent use.
 func (w *WAL) SetMetrics(m Metrics) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if m.Syncs != nil {
-		w.syncs = m.Syncs
-	}
-	w.syncSeconds = m.SyncSeconds
+	w.log.SetMetrics(queue.Metrics{Syncs: m.Syncs, SyncSeconds: m.SyncSeconds})
 	w.appends = m.Appends
 }
 
@@ -121,8 +83,6 @@ func (w *WAL) SetMetrics(m Metrics) {
 // wal-fsync span (staging through group-commit fsync) attributed to the
 // hosting site.  Call before concurrent use.
 func (w *WAL) SetTrace(r *trace.Ring, site int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.ring = r
 	w.site = site
 }
@@ -130,32 +90,7 @@ func (w *WAL) SetTrace(r *trace.Ring, site int) {
 // Syncs reports the number of fsyncs issued since Open, for benchmarks
 // and experiments measuring the group-commit win.  When instrumented it
 // is a thin read of the registry's counter.
-func (w *WAL) Syncs() uint64 { return w.syncs.Value() }
-
-func replay(f *os.File) (records []et.MSet, good int64, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, fmt.Errorf("wal: seek for replay: %w", err)
-	}
-	br := bufio.NewReader(f)
-	var lenBuf [4]byte
-	for {
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			break
-		}
-		n := binary.LittleEndian.Uint32(lenBuf[:])
-		body := make([]byte, n)
-		if _, err := io.ReadFull(br, body); err != nil {
-			break
-		}
-		var m et.MSet
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&m); err != nil {
-			break
-		}
-		records = append(records, m)
-		good += 4 + int64(n)
-	}
-	return records, good, nil
-}
+func (w *WAL) Syncs() uint64 { return w.log.Syncs() }
 
 // Append durably records one applied MSet.
 func (w *WAL) Append(m et.MSet) error {
@@ -163,8 +98,8 @@ func (w *WAL) Append(m et.MSet) error {
 }
 
 // encBufPool recycles the encode buffers AppendBatch burns through.
-// Staging copies the encoded bytes (w.stage = append(...)), so a buffer
-// never outlives its AppendBatch call and reuse is safe.
+// Staging copies the encoded bytes into the log, so a buffer never
+// outlives its AppendBatch call and reuse is safe.
 var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // AppendBatch durably records a batch of applied MSets with a single
@@ -176,138 +111,41 @@ func (w *WAL) AppendBatch(ms []et.MSet) error {
 	}
 	t0 := time.Now()
 	buf := encBufPool.Get().(*bytes.Buffer)
-	body := encBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	defer func() {
-		encBufPool.Put(buf)
-		encBufPool.Put(body)
-	}()
-	for _, m := range ms {
-		body.Reset()
-		if err := gob.NewEncoder(body).Encode(m); err != nil {
+	defer encBufPool.Put(buf)
+	bodies := make([][]byte, len(ms))
+	for i, m := range ms {
+		// One encoder per record keeps every record self-describing, so
+		// replay can decode any record on its own.  A body slices buf as
+		// it stands; growing buf later leaves those bytes intact.
+		start := buf.Len()
+		if err := gob.NewEncoder(buf).Encode(m); err != nil {
 			return fmt.Errorf("wal: encode: %w", err)
 		}
-		var lenBuf [4]byte
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(body.Len()))
-		buf.Write(lenBuf[:])
-		buf.Write(body.Bytes())
+		bodies[i] = buf.Bytes()[start:]
 	}
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return fmt.Errorf("wal: closed")
-	}
-	ch := make(chan error, 1)
-	w.stage = append(w.stage, buf.Bytes()...)
-	w.waiters = append(w.waiters, ch)
-	ring, site := w.ring, w.site
-	w.mu.Unlock()
-	if err := w.flushWait(ch); err != nil {
-		return err
+	if err := w.log.Append(true, bodies...); err != nil {
+		return fmt.Errorf("wal: append: %w", err)
 	}
 	w.appends.Add(uint64(len(ms)))
-	if ring != nil {
+	if w.ring != nil {
 		for _, m := range ms {
-			ring.RecordSpan(trace.WALFsync, site, m.ET.String(), m.MsgID(), t0, "")
+			w.ring.RecordSpan(trace.WALFsync, w.site, m.ET.String(), m.MsgID(), t0, "")
 		}
 	}
 	return nil
 }
 
-// flushWait blocks until ch carries this writer's commit result.  The
-// first writer to take commitMu becomes the leader: it waits out the
-// flush window, snapshots everything staged meanwhile, and commits it
-// with one write + one fsync for the whole cohort.
-func (w *WAL) flushWait(ch chan error) error {
-	w.commitMu.Lock()
-	select {
-	case err := <-ch: // a previous leader already flushed us
-		w.commitMu.Unlock()
-		return err
-	default:
-	}
-	if w.flushWindow > 0 {
-		time.Sleep(w.flushWindow) //esrvet:ignore A8 group-commit leader lingers for the flush window on purpose; commitMu is the batching gate
-	}
-	w.mu.Lock()
-	data, waiters := w.stage, w.waiters
-	w.stage, w.waiters = nil, nil
-	f, closed := w.f, w.closed
-	w.mu.Unlock()
-	var err error
-	switch {
-	case closed:
-		err = fmt.Errorf("wal: closed")
-	default:
-		if _, werr := f.Write(data); werr != nil {
-			err = fmt.Errorf("wal: append: %w", werr)
-		} else {
-			t0 := time.Now()
-			if serr := f.Sync(); serr != nil { //esrvet:ignore A8 the leader's one fsync commits the whole cohort; commitMu held by design (group commit)
-				err = fmt.Errorf("wal: sync: %w", serr)
-			} else {
-				w.syncs.Inc()
-				w.syncSeconds.Observe(int64(time.Since(t0)))
-			}
-		}
-	}
-	for _, waiter := range waiters {
-		waiter <- err
-	}
-	w.commitMu.Unlock()
-	return err
-}
-
 // Close releases the log file.  The log can be reopened with Open.
-func (w *WAL) Close() error {
-	w.commitMu.Lock()
-	defer w.commitMu.Unlock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
-	// Fail anything staged but not yet flushed.
-	for _, waiter := range w.waiters {
-		waiter <- fmt.Errorf("wal: closed")
-	}
-	w.stage, w.waiters = nil, nil
-	w.closed = true
-	return w.f.Close()
-}
+func (w *WAL) Close() error { return w.log.Close() }
 
-// Wrap returns an ApplyFunc that logs each successfully applied MSet to
-// the WAL before reporting success.  Holds and errors pass through
-// unlogged.  If the append itself fails, the apply is reported as failed
-// so the MSet stays queued — the log never lags the acknowledged state.
-//
-// The wrapped apply function must be idempotent per MSet (every method
-// in this reproduction is, via message dedup): a crash after apply but
-// before the WAL append re-delivers the MSet on recovery.
-func Wrap(w *WAL, apply replica.ApplyFunc) replica.ApplyFunc {
-	return func(m et.MSet) error {
-		if err := apply(m); err != nil {
-			return err
-		}
-		if err := w.Append(m); err != nil {
-			return fmt.Errorf("wal: logging applied mset: %w", err)
-		}
-		return nil
-	}
-}
-
-// Rebuild replays recovered MSets into a fresh store, re-applying their
-// operations in logged (i.e. original apply) order.  It returns the set
-// of MSet message identities already applied, which Receive-side dedup
+// RebuildVersioned replays recovered MSets into a fresh store,
+// re-applying their operations in logged (i.e. original apply) order.
+// The post-apply value of every updated object is also installed in the
+// multi-version side store at the record's timestamp, so snapshot reads
+// at pre-crash timestamps survive recovery; mv may be nil.  It returns
+// the set of MSet identities already applied, which Receive-side dedup
 // needs so redelivered MSets are not applied twice.
-func Rebuild(store *storage.Store, records []et.MSet) map[et.ID]bool {
-	return RebuildVersioned(store, nil, records)
-}
-
-// RebuildVersioned is Rebuild with a multi-version side store: the
-// post-apply value of every updated object is also installed at the
-// record's timestamp, so snapshot reads at pre-crash timestamps survive
-// recovery.  mv may be nil (plain Rebuild).
 func RebuildVersioned(store *storage.Store, mv *storage.MVStore, records []et.MSet) map[et.ID]bool {
 	applied := make(map[et.ID]bool, len(records))
 	for _, m := range records {

@@ -1,19 +1,16 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"esr/internal/clock"
 	"esr/internal/et"
-	"esr/internal/lock"
 	"esr/internal/op"
 	"esr/internal/queue"
-	"esr/internal/replica"
 	"esr/internal/storage"
 )
 
@@ -57,29 +54,81 @@ func TestAppendAndReplay(t *testing.T) {
 	}
 }
 
+// TestTornTailTruncated pins the one recovery rule: a torn final record
+// is truncated and appends continue, while damage a crash cannot
+// produce — an undecodable record mid-file, or a complete length prefix
+// past the record limit — fails with *queue.CorruptError instead of
+// silently dropping the applied MSets after it.
 func TestTornTailTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	w, _, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Append(mset(1, op.IncOp("x", 1)))
-	w.Append(mset(2, op.IncOp("x", 1)))
-	w.Close()
-	st, _ := os.Stat(path)
-	os.Truncate(path, st.Size()-2)
+	for _, tc := range []struct {
+		name    string
+		damage  func(t *testing.T, path string)
+		corrupt bool
+	}{
+		{name: "torn tail", damage: func(t *testing.T, path string) {
+			st, _ := os.Stat(path)
+			os.Truncate(path, st.Size()-2)
+		}},
+		{name: "mid-file body", corrupt: true, damage: func(t *testing.T, path string) {
+			// Overwrite the first record's body, keeping its length
+			// prefix, so intact records follow the damage.
+			raw, _ := os.ReadFile(path)
+			n := int(binary.LittleEndian.Uint32(raw))
+			for i := 4; i < 4+n; i++ {
+				raw[i] = 0xff
+			}
+			if err := os.WriteFile(path, raw, 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "oversized prefix", corrupt: true, damage: func(t *testing.T, path string) {
+			fh, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o600)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fh.Write(binary.LittleEndian.AppendUint32(nil, 1<<26+1))
+			fh.Close()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "site.wal")
+			w, _, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Append(mset(1, op.IncOp("x", 1)))
+			w.Append(mset(2, op.IncOp("x", 1)))
+			w.Close()
+			before, _ := os.Stat(path)
+			tc.damage(t, path)
+			damaged, _ := os.Stat(path)
 
-	w2, recovered, err := Open(path)
-	if err != nil {
-		t.Fatalf("reopen torn: %v", err)
-	}
-	defer w2.Close()
-	if len(recovered) != 1 {
-		t.Fatalf("recovered %d, want 1 (torn record dropped)", len(recovered))
-	}
-	// Appends continue cleanly after truncation.
-	if err := w2.Append(mset(3, op.IncOp("x", 1))); err != nil {
-		t.Fatalf("Append after recovery: %v", err)
+			w2, recovered, err := Open(path)
+			if tc.corrupt {
+				var ce *queue.CorruptError
+				if !errors.As(err, &ce) {
+					t.Fatalf("Open = %d records, err %v; want *queue.CorruptError", len(recovered), err)
+				}
+				if after, _ := os.Stat(path); after.Size() != damaged.Size() {
+					t.Errorf("corrupt log resized %d -> %d bytes", damaged.Size(), after.Size())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("reopen torn: %v", err)
+			}
+			defer w2.Close()
+			if len(recovered) != 1 {
+				t.Fatalf("recovered %d, want 1 (torn record dropped)", len(recovered))
+			}
+			if after, _ := os.Stat(path); after.Size() >= before.Size() {
+				t.Errorf("torn tail not truncated: %d bytes, was %d", after.Size(), before.Size())
+			}
+			// Appends continue cleanly after truncation.
+			if err := w2.Append(mset(3, op.IncOp("x", 1))); err != nil {
+				t.Fatalf("Append after recovery: %v", err)
+			}
+		})
 	}
 }
 
@@ -103,7 +152,7 @@ func TestRebuild(t *testing.T) {
 		mset(4, op.UAppendOp("set", "e")),
 	}
 	store := storage.NewStore()
-	applied := Rebuild(store, records)
+	applied := RebuildVersioned(store, nil, records)
 	if got := store.Get("x"); !got.Equal(op.NumValue(30)) {
 		t.Errorf("x = %v, want 30", got)
 	}
@@ -124,137 +173,8 @@ func TestRebuildRespectsThomasRule(t *testing.T) {
 	w2 := op.WriteOp("x", 2)
 	w2.TS = clock.Timestamp{Time: 5, Site: 1} // stale, ignored on rebuild too
 	store := storage.NewStore()
-	Rebuild(store, []et.MSet{mset(1, w1), mset(2, w2)})
+	RebuildVersioned(store, nil, []et.MSet{mset(1, w1), mset(2, w2)})
 	if got := store.Get("x"); !got.Equal(op.NumValue(1)) {
 		t.Errorf("x = %v, want 1 (stale timestamped write ignored)", got)
-	}
-}
-
-func TestWrapLogsOnlySuccesses(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	w, _, _ := Open(path)
-	var allow atomic.Bool
-	inner := func(m et.MSet) error {
-		if !allow.Load() {
-			return replica.ErrHold
-		}
-		return nil
-	}
-	wrapped := Wrap(w, inner)
-	m := mset(1, op.IncOp("x", 1))
-	if err := wrapped(m); !errors.Is(err, replica.ErrHold) {
-		t.Fatalf("hold must pass through: %v", err)
-	}
-	allow.Store(true)
-	if err := wrapped(m); err != nil {
-		t.Fatalf("apply: %v", err)
-	}
-	w.Close()
-	_, recovered, _ := Open(path)
-	if len(recovered) != 1 {
-		t.Errorf("WAL has %d records, want 1 (holds unlogged)", len(recovered))
-	}
-}
-
-// TestSiteCrashRecoveryEndToEnd is the full durability story: a site
-// with a journal-backed inbound queue and a WAL crashes mid-stream; the
-// rebuilt site recovers its store from the WAL, skips already-applied
-// MSets, and continues applying the still-queued remainder.
-func TestSiteCrashRecoveryEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	qpath := filepath.Join(dir, "in.journal")
-	wpath := filepath.Join(dir, "site.wal")
-
-	// --- first life ---
-	q1, err := queue.Open(qpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1, _, err := Open(wpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1 := replica.NewSite(1, q1, lock.COMMU)
-	var gate atomic.Bool
-	apply1 := Wrap(w1, func(m et.MSet) error {
-		if !gate.Load() && m.ET == et.MakeID(1, 2) {
-			return replica.ErrHold // the second MSet stays queued
-		}
-		for _, o := range m.Ops {
-			s1.Store.Apply(o)
-		}
-		return nil
-	})
-	s1.SetApply(apply1)
-	s1.Start()
-	deliver := func(s *replica.Site, m et.MSet) {
-		payload, err := m.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Receive(queue.Message{ID: uint64(m.ET), Payload: payload}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m1 := mset(1, op.IncOp("x", 10))
-	m2 := mset(2, op.IncOp("x", 5))
-	deliver(s1, m1)
-	deliver(s1, m2)
-	deadline := time.Now().Add(5 * time.Second)
-	for s1.Stats().Applied < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := s1.Store.Get("x"); !got.Equal(op.NumValue(10)) {
-		t.Fatalf("pre-crash x = %v, want 10", got)
-	}
-	// Crash: stop everything without acking m2.
-	s1.Stop()
-	q1.Close()
-	w1.Close()
-
-	// --- second life ---
-	w2, records, err := Open(wpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, err := queue.Open(qpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := replica.NewSite(1, q2, lock.COMMU)
-	appliedBefore := Rebuild(s2.Store, records)
-	if !appliedBefore[m1.ET] {
-		t.Fatalf("WAL lost the applied MSet")
-	}
-	if got := s2.Store.Get("x"); !got.Equal(op.NumValue(10)) {
-		t.Fatalf("rebuilt x = %v, want 10", got)
-	}
-	s2.SetApply(Wrap(w2, func(m et.MSet) error {
-		if appliedBefore[m.ET] {
-			return nil // already durable pre-crash; ack the queue copy
-		}
-		for _, o := range m.Ops {
-			s2.Store.Apply(o)
-		}
-		return nil
-	}))
-	s2.Start()
-	defer func() {
-		s2.Stop()
-		q2.Close()
-		w2.Close()
-	}()
-	deadline = time.Now().Add(5 * time.Second)
-	for s2.QueueLen() > 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := s2.Store.Get("x"); !got.Equal(op.NumValue(15)) {
-		t.Fatalf("post-recovery x = %v, want 15 (m2 drained from journal)", got)
-	}
-	// Redelivery of m1 (an at-least-once duplicate) must not double-apply.
-	deliver(s2, m1)
-	time.Sleep(5 * time.Millisecond)
-	if got := s2.Store.Get("x"); !got.Equal(op.NumValue(15)) {
-		t.Fatalf("duplicate after recovery changed state: %v", got)
 	}
 }
