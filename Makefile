@@ -1,9 +1,8 @@
 # ESR build and correctness gate.
 #
 # `make check` is the full gate CI runs: build, go vet, esrvet (the
-# project-specific analyzers A1–A11, including the interprocedural
-# lock-flow rules), the test suite, and the race detector over the
-# concurrency-bearing packages.
+# project-specific analyzers, see internal/analysis), the test suite,
+# and the race detector over the concurrency-bearing packages.
 
 GO ?= go
 
@@ -11,12 +10,11 @@ GO ?= go
 # every run: the lock manager, the simulated network, the stable queues,
 # the group-commit WAL, the transaction core and its write path, the
 # replica state machine, the metrics registry every one of them writes
-# concurrently, the analysis engine whose CFG/call-graph/fixpoint tests
-# exercise shared structures, the replicated sequencer, and the four
-# method engines driving the write path.
-RACE_PKGS := ./internal/lock/... ./internal/network/... ./internal/queue/... ./internal/wal/... ./internal/core/... ./internal/replica/... ./internal/metrics/... ./internal/analysis/... ./internal/seqrep/... ./internal/ordup/... ./internal/commu/... ./internal/ritu/... ./internal/compe/...
+# concurrently, the replicated sequencer, and the four method engines
+# driving the write path.
+RACE_PKGS := ./internal/lock/... ./internal/network/... ./internal/queue/... ./internal/wal/... ./internal/core/... ./internal/replica/... ./internal/metrics/... ./internal/seqrep/... ./internal/ordup/... ./internal/commu/... ./internal/ritu/... ./internal/compe/...
 
-.PHONY: all build test race vet esrvet esrvet-baseline esrvet-self check bench bench-compare node smoke-node smoke-chaos fuzz clean
+.PHONY: all build test race vet esrvet check bench bench-compare node smoke-node smoke-chaos fuzz clean
 
 all: build
 
@@ -34,25 +32,15 @@ race:
 vet:
 	$(GO) vet ./...
 
-# esrvet runs from source so the gate never depends on a stale binary.
-# The committed baseline tolerates known findings (currently none) so
-# only new findings fail; `make esrvet-baseline` regenerates it.
+# esrvet runs from source so the gate never depends on a stale binary;
+# any finding fails it.  The analysis fixtures must stay valid Go under
+# go vet (wildcards skip testdata, so the fixture dirs are vetted
+# explicitly).
 esrvet:
-	$(GO) run ./cmd/esrvet -baseline scripts/esrvet_baseline.json ./...
-
-esrvet-baseline:
-	$(GO) run ./cmd/esrvet -fix-baseline -baseline scripts/esrvet_baseline.json ./...
-
-# The analyzer must survive its own rules (self-application) and the
-# analysis fixtures must stay valid Go under go vet (wildcards skip
-# testdata, so the fixture dirs are vetted explicitly; copylock_bad
-# exists to trip vet's copylocks check, so that one is disabled there).
-esrvet-self:
-	$(GO) run ./cmd/esrvet ./internal/analysis
-	$(GO) run ./cmd/esrvet ./internal/analysis/flow
+	$(GO) run ./cmd/esrvet ./...
 	bash scripts/vet_fixtures.sh
 
-check: build vet esrvet esrvet-self test race
+check: build vet esrvet test race
 
 # The repository's one benchmark (BENCHMARK.json, benchmark/README.md);
 # `make bench-compare A=old.json B=new.json` compares two result files.

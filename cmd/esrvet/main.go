@@ -7,14 +7,6 @@
 //	esrvet ./internal/lock # analyze specific packages
 //	esrvet -only A1,A4 ./...
 //	esrvet -list           # print the rule table
-//	esrvet -json ./...     # machine-readable findings
-//	esrvet -baseline scripts/esrvet_baseline.json ./...
-//	esrvet -fix-baseline -baseline scripts/esrvet_baseline.json ./...
-//
-// With -baseline, findings recorded in the committed baseline file are
-// tolerated (per file/rule/message, counted) and only new findings fail
-// the run; -fix-baseline regenerates the file from the current findings
-// instead of failing.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load error.  A finding
 // can be suppressed in source with `//esrvet:ignore A<n> reason` on the
@@ -22,7 +14,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,23 +26,16 @@ import (
 func main() {
 	only := flag.String("only", "", "comma-separated rule IDs or names to run (default: all)")
 	list := flag.Bool("list", false, "print the analyzer table and exit")
-	asJSON := flag.Bool("json", false, "emit findings as JSON on stdout")
-	baselinePath := flag.String("baseline", "", "baseline file: tolerate the findings recorded there")
-	fixBaseline := flag.Bool("fix-baseline", false, "rewrite the -baseline file from current findings and exit 0")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: esrvet [-only rules] [-json] [-baseline file [-fix-baseline]] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: esrvet [-only rules] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *fixBaseline && *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "esrvet: -fix-baseline requires -baseline")
-		os.Exit(2)
-	}
 
 	analyzers := analysis.All()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%s %-12s %s\n", a.Rule, a.Name, a.Doc)
+			fmt.Printf("%-3s %-12s %s\n", a.Rule, a.Name, a.Doc)
 		}
 		return
 	}
@@ -107,50 +91,11 @@ func main() {
 
 	diags := analysis.RunAll(pkgs, analyzers)
 
-	if *fixBaseline {
-		if err := analysis.WriteBaseline(*baselinePath, analysis.NewBaseline(root, diags)); err != nil {
-			fatal(err)
+	for _, d := range diags {
+		if r, err := filepath.Rel(cwd, d.Pos.Filename); err == nil && !strings.HasPrefix(r, "..") {
+			d.Pos.Filename = r
 		}
-		fmt.Fprintf(os.Stderr, "esrvet: baseline %s rewritten with %d finding(s)\n", *baselinePath, len(diags))
-		return
-	}
-	if *baselinePath != "" {
-		base, err := analysis.ReadBaseline(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		diags = base.Filter(root, diags)
-	}
-
-	if *asJSON {
-		type jsonFinding struct {
-			File    string `json:"file"`
-			Line    int    `json:"line"`
-			Column  int    `json:"column"`
-			Rule    string `json:"rule"`
-			Message string `json:"message"`
-		}
-		out := make([]jsonFinding, 0, len(diags))
-		for _, d := range diags {
-			file := d.Pos.Filename
-			if r, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(r, "..") {
-				file = filepath.ToSlash(r)
-			}
-			out = append(out, jsonFinding{File: file, Line: d.Pos.Line, Column: d.Pos.Column, Rule: d.Rule, Message: d.Message})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, d := range diags {
-			rel := d
-			if r, err := filepath.Rel(cwd, d.Pos.Filename); err == nil && !strings.HasPrefix(r, "..") {
-				rel.Pos.Filename = r
-			}
-			fmt.Println(rel)
-		}
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "esrvet: %d finding(s)\n", len(diags))

@@ -74,28 +74,14 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	}{
 		{LockPairing, "lockpair_clean", "esrfixture/lockpair_clean"},
 		{LockPairing, "lockpair_bad", "esrfixture/lockpair_bad"},
-		{MutexByValue, "copylock_clean", "esrfixture/copylock_clean"},
-		{MutexByValue, "copylock_bad", "esrfixture/copylock_bad"},
-		{CommuRegistration, "commureg_clean", "esrfixture/commureg_clean"},
-		{CommuRegistration, "commureg_bad", "esrfixture/commureg_bad"},
-		// A4/A5 are path-gated: the fixture is loaded as if it were the
-		// real package it stands in for.
+		// A4 is path-gated: the fixture is loaded as if it were the real
+		// package it stands in for.
 		{SimDeterminism, "determinism_clean", "esrfixture/internal/sim"},
 		{SimDeterminism, "determinism_bad", "esrfixture/internal/sim"},
-		{GoroutineLeak, "goleak_clean", "esrfixture/internal/queue"},
-		{GoroutineLeak, "goleak_bad", "esrfixture/internal/queue"},
-		{MetricRegistration, "metricreg_clean", "esrfixture/metricreg_clean"},
-		{MetricRegistration, "metricreg_bad", "esrfixture/metricreg_bad"},
 		{StripeAccess, "stripeaccess_clean", "esrfixture/stripeaccess_clean"},
 		{StripeAccess, "stripeaccess_bad", "esrfixture/stripeaccess_bad"},
-		{LockHeldBlocking, "lockheldio_clean", "esrfixture/lockheldio_clean"},
-		{LockHeldBlocking, "lockheldio_bad", "esrfixture/lockheldio_bad"},
-		{AtomicMix, "atomicmix_clean", "esrfixture/atomicmix_clean"},
-		{AtomicMix, "atomicmix_bad", "esrfixture/atomicmix_bad"},
 		{ErrDrop, "errdrop_clean", "esrfixture/errdrop_clean"},
 		{ErrDrop, "errdrop_bad", "esrfixture/errdrop_bad"},
-		{QueryLockFree, "querylock_clean", "esrfixture/querylock_clean"},
-		{QueryLockFree, "querylock_bad", "esrfixture/querylock_bad"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer.Rule+"/"+tc.fixture, func(t *testing.T) {
@@ -141,17 +127,10 @@ func TestFixturePolarity(t *testing.T) {
 		asPath   string
 	}
 	polar := map[string][2]fixture{
-		"A1": {{LockPairing, "lockpair_clean", "esrfixture/a"}, {LockPairing, "lockpair_bad", "esrfixture/b"}},
-		"A2": {{MutexByValue, "copylock_clean", "esrfixture/a"}, {MutexByValue, "copylock_bad", "esrfixture/b"}},
-		"A3": {{CommuRegistration, "commureg_clean", "esrfixture/a"}, {CommuRegistration, "commureg_bad", "esrfixture/b"}},
-		"A4": {{SimDeterminism, "determinism_clean", "esrfixture/internal/sim"}, {SimDeterminism, "determinism_bad", "esrfixture/internal/sim"}},
-		"A5": {{GoroutineLeak, "goleak_clean", "esrfixture/internal/queue"}, {GoroutineLeak, "goleak_bad", "esrfixture/internal/queue"}},
-		"A6": {{MetricRegistration, "metricreg_clean", "esrfixture/a"}, {MetricRegistration, "metricreg_bad", "esrfixture/b"}},
-		"A7": {{StripeAccess, "stripeaccess_clean", "esrfixture/a"}, {StripeAccess, "stripeaccess_bad", "esrfixture/b"}},
-		"A8": {{LockHeldBlocking, "lockheldio_clean", "esrfixture/a"}, {LockHeldBlocking, "lockheldio_bad", "esrfixture/b"}},
-		"A9": {{AtomicMix, "atomicmix_clean", "esrfixture/a"}, {AtomicMix, "atomicmix_bad", "esrfixture/b"}},
+		"A1":  {{LockPairing, "lockpair_clean", "esrfixture/a"}, {LockPairing, "lockpair_bad", "esrfixture/b"}},
+		"A4":  {{SimDeterminism, "determinism_clean", "esrfixture/internal/sim"}, {SimDeterminism, "determinism_bad", "esrfixture/internal/sim"}},
+		"A7":  {{StripeAccess, "stripeaccess_clean", "esrfixture/a"}, {StripeAccess, "stripeaccess_bad", "esrfixture/b"}},
 		"A10": {{ErrDrop, "errdrop_clean", "esrfixture/a"}, {ErrDrop, "errdrop_bad", "esrfixture/b"}},
-		"A11": {{QueryLockFree, "querylock_clean", "esrfixture/a"}, {QueryLockFree, "querylock_bad", "esrfixture/b"}},
 	}
 	for rule, pair := range polar {
 		clean, bad := pair[0], pair[1]

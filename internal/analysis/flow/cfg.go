@@ -1,12 +1,12 @@
 // Package flow is the dataflow engine under esrvet's interprocedural
-// rules: a per-function control-flow graph, a call graph over the
+// rule A1: a per-function control-flow graph, a call graph over the
 // loaded packages, and worklist fixpoint solvers (intraprocedural over
 // CFG blocks, interprocedural over per-function summaries).
 //
 // Like the loader it sits beside, the package uses only the standard
 // library's go/ast and go/types.  It is deliberately engine-only: lock
-// classification, blocking-call tables, and diagnostics live in the
-// analyzers (internal/analysis), which consume the graphs built here.
+// classification and diagnostics live in the analyzers
+// (internal/analysis), which consume the graphs built here.
 package flow
 
 import (

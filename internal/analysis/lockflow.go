@@ -11,9 +11,9 @@ import (
 	"esr/internal/analysis/flow"
 )
 
-// This file is the shared interprocedural lock engine under rules A1
-// (lockpair) and A8 (lockheld).  It runs one summary fixpoint over the
-// call graph and one diagnostic pass, producing both rules' findings:
+// This file is the interprocedural lock engine under rule A1
+// (lockpair).  It runs one summary fixpoint over the call graph and one
+// reporting pass:
 //
 //   - Per function, a forward dataflow over the CFG tracks an abstract
 //     lock state: for every lock key (a canonical receiver expression
@@ -24,18 +24,13 @@ import (
 //     acquires for its caller (keys rooted at the receiver, a
 //     parameter, or a package-level variable are rewritten into the
 //     caller's namespace at each call site; keys rooted at locals
-//     propagate as opaque holds), the caller-owned locks it releases,
-//     and whether it may block.
+//     propagate as opaque holds) and the caller-owned locks it releases.
 //   - Summaries feed back into callers' transfer functions; a worklist
 //     over the call graph iterates to fixpoint.
 //
-// Havoc for unknown callees (interface dispatch, function values,
-// out-of-module calls) is asymmetric by design: an unknown callee is
-// assumed NOT to release the caller's locks — the sound direction for
-// leak detection — and assumed not to block, except for the explicit
-// blocking primitives (time.Sleep, (*os.File).Sync, the
-// network.Transport methods, unbuffered channel operations), which are
-// classified directly even though their bodies are out of reach.
+// An unknown callee (interface dispatch, function value, out-of-module
+// call) is assumed NOT to release the caller's locks: the sound
+// direction for leak detection.
 
 // rootKind classifies how a lock key's leftmost identifier binds, which
 // decides whether the key can be rewritten into a caller's namespace.
@@ -61,8 +56,8 @@ type lockKey struct {
 // program point.
 type lockFact struct {
 	k    lockKey
-	may  bool // held on at least one path
-	must bool // held on every path
+	may  bool      // held on at least one path
+	must bool      // held on every path
 	pos  token.Pos // original acquisition site (kept across call boundaries)
 	desc string    // for opaque facts: "s.Locks acquired in (*Engine).serve"
 }
@@ -102,28 +97,6 @@ func (s *lockState) clone() *lockState {
 		n.released[k] = v
 	}
 	return n
-}
-
-func (s *lockState) anyHeld() bool {
-	for _, f := range s.held {
-		if f.may {
-			return true
-		}
-	}
-	return false
-}
-
-// heldKeys returns the held keys in sorted order (for deterministic
-// messages).
-func (s *lockState) heldKeys() []string {
-	var out []string
-	for k, f := range s.held {
-		if f.may {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (s *lockState) acquire(k lockKey, must bool, pos token.Pos, desc string) {
@@ -248,16 +221,13 @@ type summaryAcq struct {
 type lockSummary struct {
 	acquires []summaryAcq // sorted by key
 	releases []relFact    // caller-owned releases, sorted by key; must only
-	blocks   bool
-	blockPos token.Pos
-	blockDesc string // root cause, e.g. "time.Sleep at queue.go:556"
 }
 
 func (a *lockSummary) equal(b *lockSummary) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if a.blocks != b.blocks || a.blockDesc != b.blockDesc || len(a.acquires) != len(b.acquires) || len(a.releases) != len(b.releases) {
+	if len(a.acquires) != len(b.acquires) || len(a.releases) != len(b.releases) {
 		return false
 	}
 	for i := range a.acquires {
@@ -276,47 +246,29 @@ func (a *lockSummary) equal(b *lockSummary) bool {
 
 // lockFlow is the engine's per-module state.
 type lockFlow struct {
-	mod       *Module
 	graph     *flow.Graph
 	fset      *token.FileSet
 	summaries map[*flow.FuncNode]*lockSummary
-
-	// Channel objects created unbuffered / with capacity anywhere in the
-	// module; an object in both sets is treated as buffered (unknown).
-	unbuffered map[types.Object]bool
-	buffered   map[types.Object]bool
-	// Positions of channel operations inside a select that has a
-	// default clause: non-blocking by construction.
-	nonblocking map[token.Pos]bool
-
-	// Per-computeSummary scratch: whether the current function blocks.
-	curBlocks   bool
-	curBlockPos token.Pos
-	curBlockDesc string
-
-	reported map[token.Pos]bool // A1 dedup across functions (by acquire site)
-	a1, a8   []Diagnostic
+	reported  map[token.Pos]bool // dedup across functions (by acquire site)
+	diags     []Diagnostic
 }
 
-// lockFlowResults runs the engine once per module and memoizes both
-// rules' diagnostics.
-func (m *Module) lockFlowResults() (a1, a8 []Diagnostic) {
-	if m.lockDone {
-		return m.lockA1, m.lockA8
+// lockLeaks runs the summary fixpoint over the packages' call graph and
+// reports every acquisition that can still be held when no caller is
+// left to release it.
+func lockLeaks(pkgs []*Package) []Diagnostic {
+	fps := make([]*flow.Package, len(pkgs))
+	for i, p := range pkgs {
+		fps[i] = &flow.Package{Fset: p.Fset, Files: p.Files, Types: p.Types, Info: p.Info}
 	}
 	lf := &lockFlow{
-		mod:         m,
-		graph:       m.Graph(),
-		summaries:   map[*flow.FuncNode]*lockSummary{},
-		unbuffered:  map[types.Object]bool{},
-		buffered:    map[types.Object]bool{},
-		nonblocking: map[token.Pos]bool{},
-		reported:    map[token.Pos]bool{},
+		graph:     flow.BuildGraph(fps),
+		summaries: map[*flow.FuncNode]*lockSummary{},
+		reported:  map[token.Pos]bool{},
 	}
-	if len(m.Pkgs) > 0 {
-		lf.fset = m.Pkgs[0].Fset
+	if len(pkgs) > 0 {
+		lf.fset = pkgs[0].Fset
 	}
-	lf.scanChannels()
 	lf.graph.Fixpoint(func(fn *flow.FuncNode) bool {
 		sum := lf.computeSummary(fn)
 		if sum.equal(lf.summaries[fn]) {
@@ -328,9 +280,7 @@ func (m *Module) lockFlowResults() (a1, a8 []Diagnostic) {
 	for _, fn := range lf.graph.Funcs {
 		lf.reportFunc(fn)
 	}
-	m.lockDone = true
-	m.lockA1, m.lockA8 = lf.a1, lf.a8
-	return m.lockA1, m.lockA8
+	return lf.diags
 }
 
 // --- classification ---
@@ -394,34 +344,6 @@ func methodOnNamed(fn *types.Func, name string) bool {
 	}
 	named, ok := t.(*types.Named)
 	return ok && named.Obj().Name() == name
-}
-
-// blockingCall classifies the explicit blocking primitives A8 guards
-// against: time.Sleep, fsync, and transport I/O.  Returns "" when the
-// call is not one of them.
-func blockingCall(info *types.Info, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	obj, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || obj.Pkg() == nil {
-		return ""
-	}
-	switch {
-	case obj.Pkg().Path() == "time" && obj.Name() == "Sleep":
-		return "time.Sleep"
-	case obj.Pkg().Path() == "os" && obj.Name() == "Sync" && methodOnNamed(obj, "File"):
-		return "(*os.File).Sync (fsync)"
-	case strings.HasSuffix(obj.Pkg().Path(), "internal/network"):
-		switch obj.Name() {
-		case "Send", "Call", "SendBatch":
-			if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-				return "transport " + obj.Name()
-			}
-		}
-	}
-	return ""
 }
 
 // baseIdent returns the leftmost identifier of a selector chain, or nil
@@ -528,206 +450,10 @@ func (lf *lockFlow) rebase(caller *flow.FuncNode, k lockKey, arg ast.Expr) lockK
 	return nk
 }
 
-// --- channel prepass ---
-
-// scanChannels records which channel-typed objects are ever created
-// unbuffered (make without capacity) or buffered, plus the positions of
-// channel operations inside select statements with a default clause.
-func (lf *lockFlow) scanChannels() {
-	for _, p := range lf.mod.Pkgs {
-		info := p.Info
-		record := func(target ast.Expr, mk *ast.CallExpr) {
-			var obj types.Object
-			switch t := ast.Unparen(target).(type) {
-			case *ast.Ident:
-				obj = info.Defs[t]
-				if obj == nil {
-					obj = info.Uses[t]
-				}
-			case *ast.SelectorExpr:
-				obj = info.Uses[t.Sel]
-			}
-			if obj == nil {
-				return
-			}
-			if len(mk.Args) >= 2 {
-				if tv, ok := info.Types[mk.Args[1]]; ok && tv.Value != nil && tv.Value.String() == "0" {
-					lf.unbuffered[obj] = true
-					return
-				}
-				lf.buffered[obj] = true
-				return
-			}
-			lf.unbuffered[obj] = true
-		}
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					if len(n.Lhs) == len(n.Rhs) {
-						for i, rhs := range n.Rhs {
-							if mk := makeChanCall(info, rhs); mk != nil {
-								record(n.Lhs[i], mk)
-							}
-						}
-					}
-				case *ast.ValueSpec:
-					if len(n.Names) == len(n.Values) {
-						for i, v := range n.Values {
-							if mk := makeChanCall(info, v); mk != nil {
-								record(n.Names[i], mk)
-							}
-						}
-					}
-				case *ast.CompositeLit:
-					for _, el := range n.Elts {
-						kv, ok := el.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						if mk := makeChanCall(info, kv.Value); mk != nil {
-							if id, ok := kv.Key.(*ast.Ident); ok {
-								if obj := info.Uses[id]; obj != nil {
-									if len(mk.Args) >= 2 {
-										lf.buffered[obj] = true
-									} else {
-										lf.unbuffered[obj] = true
-									}
-								}
-							}
-						}
-					}
-				case *ast.SelectStmt:
-					hasDefault := false
-					for _, c := range n.Body.List {
-						if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-							hasDefault = true
-						}
-					}
-					if !hasDefault {
-						return true
-					}
-					for _, c := range n.Body.List {
-						cc, ok := c.(*ast.CommClause)
-						if !ok || cc.Comm == nil {
-							continue
-						}
-						ast.Inspect(cc.Comm, func(x ast.Node) bool {
-							switch x := x.(type) {
-							case *ast.UnaryExpr:
-								if x.Op == token.ARROW {
-									lf.nonblocking[x.Pos()] = true
-								}
-							case *ast.SendStmt:
-								lf.nonblocking[x.Pos()] = true
-							}
-							return true
-						})
-					}
-				}
-				return true
-			})
-		}
-	}
-}
-
-// makeChanCall returns the call when e is make(chan T[, cap]).
-func makeChanCall(info *types.Info, e ast.Expr) *ast.CallExpr {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != "make" {
-		return nil
-	}
-	tv, ok := info.Types[call]
-	if !ok {
-		return nil
-	}
-	_, isChan := tv.Type.Underlying().(*types.Chan)
-	if !isChan {
-		return nil
-	}
-	return call
-}
-
-// chanObj resolves a channel operand to its object, for the
-// unbuffered-channel lookup.
-func chanObj(info *types.Info, e ast.Expr) types.Object {
-	switch t := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if o := info.Uses[t]; o != nil {
-			return o
-		}
-		return info.Defs[t]
-	case *ast.SelectorExpr:
-		return info.Uses[t.Sel]
-	}
-	return nil
-}
-
 // --- transfer ---
 
-// reporter collects diagnostics during the post-fixpoint pass; nil
-// during summary computation.
-type reporter struct {
-	lf *lockFlow
-	fn *flow.FuncNode
-}
-
-func (r *reporter) a8(pos token.Pos, what string, st *lockState) {
-	keys := st.heldKeys()
-	if len(keys) == 0 {
-		return
-	}
-	f := st.held[keys[0]]
-	lockName := strings.TrimSuffix(f.k.key, "/R")
-	if f.desc != "" {
-		lockName = f.desc
-	}
-	extra := ""
-	if len(keys) > 1 {
-		extra = fmt.Sprintf(" (+%d more)", len(keys)-1)
-	}
-	held := "is held"
-	if !f.must {
-		held = "may be held"
-	}
-	r.lf.a8 = append(r.lf.a8, Diagnostic{
-		Pos:  r.lf.fset.Position(pos),
-		Rule: "A8",
-		Message: fmt.Sprintf("%s while %s %s (acquired at %s)%s",
-			what, lockName, held, r.lf.posStr(f.pos), extra),
-	})
-}
-
-func (lf *lockFlow) posStr(pos token.Pos) string {
-	if pos == token.NoPos {
-		return "?"
-	}
-	p := lf.fset.Position(pos)
-	name := p.Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return fmt.Sprintf("%s:%d", name, p.Line)
-}
-
-// markBlocks records that the function currently being summarized may
-// block, keeping the first (root-cause) witness.
-func (lf *lockFlow) markBlocks(pos token.Pos, desc string) {
-	if lf.curBlocks {
-		return
-	}
-	lf.curBlocks = true
-	lf.curBlockPos = pos
-	lf.curBlockDesc = desc
-}
-
-// evalNode interprets one CFG node, mutating st; with a non-nil
-// reporter it also emits A8 findings.
-func (lf *lockFlow) evalNode(fn *flow.FuncNode, n ast.Node, st *lockState, rep *reporter) {
+// evalNode interprets one CFG node, mutating st.
+func (lf *lockFlow) evalNode(fn *flow.FuncNode, n ast.Node, st *lockState) {
 	if d, ok := n.(*ast.DeferStmt); ok {
 		for key := range lf.deferReleases(fn, d.Call) {
 			st.deferred[key] = true
@@ -735,11 +461,11 @@ func (lf *lockFlow) evalNode(fn *flow.FuncNode, n ast.Node, st *lockState, rep *
 		return
 	}
 	if g, ok := n.(*ast.GoStmt); ok {
-		// The spawned call runs on another goroutine: it neither blocks
-		// this one nor changes its lock state.  Its argument expressions
-		// do evaluate here.
+		// The spawned call runs on another goroutine and does not change
+		// this one's lock state.  Its argument expressions do evaluate
+		// here.
 		for _, a := range g.Call.Args {
-			lf.evalNode(fn, a, st, rep)
+			lf.evalNode(fn, a, st)
 		}
 		return
 	}
@@ -748,36 +474,14 @@ func (lf *lockFlow) evalNode(fn *flow.FuncNode, n ast.Node, st *lockState, rep *
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			lf.evalCall(fn, x, st, rep)
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				lf.chanOp(fn, x.X, x.Pos(), "receive", st, rep)
-			}
-		case *ast.SendStmt:
-			lf.chanOp(fn, x.Chan, x.Pos(), "send", st, rep)
+			lf.evalCall(fn, x, st)
 		}
 		return true
 	})
 }
 
-func (lf *lockFlow) chanOp(fn *flow.FuncNode, ch ast.Expr, pos token.Pos, what string, st *lockState, rep *reporter) {
-	if lf.nonblocking[pos] {
-		return
-	}
-	obj := chanObj(fn.Pkg.Info, ch)
-	if obj == nil || !lf.unbuffered[obj] || lf.buffered[obj] {
-		return
-	}
-	desc := fmt.Sprintf("%s on unbuffered channel %s", what, types.ExprString(ch))
-	if rep != nil && st.anyHeld() {
-		rep.a8(pos, desc, st)
-	}
-	lf.markBlocks(pos, fmt.Sprintf("%s at %s", desc, lf.posStr(pos)))
-}
-
-func (lf *lockFlow) evalCall(fn *flow.FuncNode, call *ast.CallExpr, st *lockState, rep *reporter) {
-	info := fn.Pkg.Info
-	if action, recvExpr, flavor := classifyLockCall(info, call); action != lockNone {
+func (lf *lockFlow) evalCall(fn *flow.FuncNode, call *ast.CallExpr, st *lockState) {
+	if action, recvExpr, flavor := classifyLockCall(fn.Pkg.Info, call); action != lockNone {
 		k := lf.makeKey(fn, recvExpr, flavor)
 		if action == lockAcquire {
 			st.acquire(k, true, call.Pos(), "")
@@ -786,27 +490,10 @@ func (lf *lockFlow) evalCall(fn *flow.FuncNode, call *ast.CallExpr, st *lockStat
 		}
 		return
 	}
-	site := lf.graph.SiteFor(call)
-	var sum *lockSummary
-	if site != nil {
-		sum = lf.summaries[site.Callee]
-	}
-	if desc := blockingCall(info, call); desc != "" {
-		desc = fmt.Sprintf("%s at %s", desc, lf.posStr(call.Pos()))
-		if rep != nil && st.anyHeld() {
-			rep.a8(call.Pos(), desc, st)
+	if site := lf.graph.SiteFor(call); site != nil {
+		if sum := lf.summaries[site.Callee]; sum != nil {
+			lf.applySummary(fn, site, sum, st)
 		}
-		lf.markBlocks(call.Pos(), desc)
-	} else if sum != nil && sum.blocks {
-		if rep != nil && st.anyHeld() {
-			rep.a8(call.Pos(), fmt.Sprintf("call to %s, which may block (%s)", site.Callee.Name, sum.blockDesc), st)
-		}
-		// Propagate the root cause, not the nested chain, so deep call
-		// stacks keep a readable witness.
-		lf.markBlocks(call.Pos(), sum.blockDesc)
-	}
-	if sum != nil {
-		lf.applySummary(fn, site, sum, st)
 	}
 }
 
@@ -866,42 +553,26 @@ func (lf *lockFlow) deferReleases(fn *flow.FuncNode, call *ast.CallExpr) map[str
 
 // --- per-function analysis ---
 
-func (lf *lockFlow) runDataflow(fn *flow.FuncNode, rep *reporter) map[*flow.Block]*lockState {
+// exitState runs the intraprocedural dataflow with the current callee
+// summaries and returns the state reaching fn's exit (nil when the exit
+// is unreachable).
+func (lf *lockFlow) exitState(fn *flow.FuncNode) *lockState {
 	c := fn.CFG()
 	transfer := func(b *flow.Block, in *lockState) *lockState {
 		st := in.clone()
 		for _, n := range b.Nodes {
-			lf.evalNode(fn, n, st, nil)
+			lf.evalNode(fn, n, st)
 		}
 		return st
 	}
-	ins := flow.Forward(c, newLockState(), (*lockState).clone, joinLockStates, transfer)
-	if rep != nil {
-		// Deterministic replay for diagnostics, block by block.
-		for _, b := range c.Blocks {
-			in, ok := ins[b]
-			if !ok {
-				continue
-			}
-			st := in.clone()
-			for _, n := range b.Nodes {
-				lf.evalNode(fn, n, st, rep)
-			}
-		}
-	}
-	return ins
+	return flow.Forward(c, newLockState(), (*lockState).clone, joinLockStates, transfer)[c.Exit]
 }
 
-// computeSummary runs the intraprocedural dataflow with current callee
-// summaries and distills fn's own summary from its exit state.
+// computeSummary distills fn's summary from its exit state.
 func (lf *lockFlow) computeSummary(fn *flow.FuncNode) *lockSummary {
-	lf.curBlocks = false
-	lf.curBlockPos = token.NoPos
-	lf.curBlockDesc = ""
-	ins := lf.runDataflow(fn, nil)
-	sum := &lockSummary{blocks: lf.curBlocks, blockPos: lf.curBlockPos, blockDesc: lf.curBlockDesc}
-	exit, ok := ins[fn.CFG().Exit]
-	if !ok {
+	sum := &lockSummary{}
+	exit := lf.exitState(fn)
+	if exit == nil {
 		return sum
 	}
 	for _, key := range sortedHeld(exit) {
@@ -944,13 +615,10 @@ func sortedHeld(st *lockState) []string {
 	return keys
 }
 
-// reportFunc emits A8 findings along fn's body and A1 leak findings at
-// its exit.
+// reportFunc emits the leak findings at fn's exit.
 func (lf *lockFlow) reportFunc(fn *flow.FuncNode) {
-	rep := &reporter{lf: lf, fn: fn}
-	ins := lf.runDataflow(fn, rep)
-	exit, ok := ins[fn.CFG().Exit]
-	if !ok {
+	exit := lf.exitState(fn)
+	if exit == nil {
 		return
 	}
 	for _, key := range sortedHeld(exit) {
@@ -962,10 +630,7 @@ func (lf *lockFlow) reportFunc(fn *flow.FuncNode) {
 		// it: its key roots in a local (no caller could name it), or the
 		// function has no static caller that could pick the hold up
 		// (entry points, interface implementations, goroutine bodies).
-		if f.k.kind != rootLocal && f.k.kind != rootOpaque && len(fn.Callers) > 0 {
-			continue
-		}
-		if f.k.kind == rootOpaque && len(fn.Callers) > 0 {
+		if f.k.kind != rootLocal && len(fn.Callers) > 0 {
 			continue
 		}
 		if f.pos == token.NoPos || lf.reported[f.pos] {
@@ -976,7 +641,7 @@ func (lf *lockFlow) reportFunc(fn *flow.FuncNode) {
 		if f.desc != "" {
 			name = f.desc
 		}
-		lf.a1 = append(lf.a1, Diagnostic{
+		lf.diags = append(lf.diags, Diagnostic{
 			Pos:  lf.fset.Position(f.pos),
 			Rule: "A1",
 			Message: fmt.Sprintf("lock acquired on %s may still be held when %s returns (missing release on some path; add ReleaseAll/Unlock or a defer)",

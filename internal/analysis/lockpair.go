@@ -7,21 +7,15 @@ package analysis
 // bookkeeping) both assume the shrinking phase always runs; a lock that
 // escapes an error branch blocks every later conflicting ET forever.
 //
-// Since esrvet v2 the rule is interprocedural: the shared lock engine
-// (lockflow.go) runs a CFG dataflow per function and propagates lock
-// deltas through per-function summaries over the call graph.  A helper
-// that acquires a lock every caller releases is clean; a lock leaking
-// through a chain of calls is reported once, at the original
-// acquisition site, in the outermost function where no caller can still
-// release it.
+// The rule is interprocedural: the lock engine (lockflow.go) runs a CFG
+// dataflow per function and propagates lock deltas through
+// per-function summaries over the call graph.  A helper that acquires
+// a lock every caller releases is clean; a lock leaking through a chain
+// of calls is reported once, at the original acquisition site, in the
+// outermost function where no caller can still release it.
 var LockPairing = &Analyzer{
 	Rule:      "A1",
 	Name:      "lockpair",
 	Doc:       "lock acquisitions must be released on all return paths, across call boundaries (defer-aware)",
-	RunModule: runLockPairing,
-}
-
-func runLockPairing(m *Module) []Diagnostic {
-	a1, _ := m.lockFlowResults()
-	return a1
+	RunModule: lockLeaks,
 }

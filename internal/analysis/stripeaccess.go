@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -146,4 +147,16 @@ func runStripeAccess(p *Package) []Diagnostic {
 		}
 	}
 	return diags
+}
+
+// namedTypeName returns the bare name of the (possibly pointered) named
+// type, or "".
+func namedTypeName(t types.Type) string {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
 }

@@ -279,7 +279,7 @@ func (e *Engine) update2PC(origin clock.SiteID, tx lock.TxID, ops []op.Op) error
 	abort := func() {
 		for _, sid := range prepared {
 			sid := sid
-			if err := e.call(origin, sid, request{Kind: "abort", Tx: tx}); err != nil { //esrvet:ignore A8 2PC abort round: participant locks stay pinned until the abort lands; blocking here is the protocol
+			if err := e.call(origin, sid, request{Kind: "abort", Tx: tx}); err != nil {
 				// The blocking weakness of 2PC: a participant we cannot
 				// reach keeps its locks.  Retry in the background until
 				// the partition heals.
@@ -288,14 +288,14 @@ func (e *Engine) update2PC(origin clock.SiteID, tx lock.TxID, ops []op.Op) error
 		}
 	}
 	for _, sid := range sites {
-		if err := e.call(origin, sid, request{Kind: "prepare", Tx: tx, Ops: ops}); err != nil { //esrvet:ignore A8 2PC prepare holds earlier participants' locks across later prepares (strict 2PL, documented blocking weakness)
+		if err := e.call(origin, sid, request{Kind: "prepare", Tx: tx, Ops: ops}); err != nil {
 			abort()
 			return fmt.Errorf("%w: prepare at %v: %v", ErrUnavailable, sid, err)
 		}
 		prepared = append(prepared, sid)
 	}
 	for _, sid := range sites {
-		if err := e.call(origin, sid, request{Kind: "commit", Tx: tx}); err != nil { //esrvet:ignore A8 2PC commit round runs with every participant's locks held by design
+		if err := e.call(origin, sid, request{Kind: "commit", Tx: tx}); err != nil {
 			// Prepared participants must eventually commit.
 			go e.retryUntilDelivered(origin, sid, request{Kind: "commit", Tx: tx})
 		}
@@ -327,7 +327,7 @@ func (e *Engine) updateQuorum(origin clock.SiteID, tx lock.TxID, ops []op.Op) er
 	release := func() {
 		for sid := range locked {
 			sid := sid
-			if err := e.call(origin, sid, request{Kind: "qrelease", Tx: tx}); err != nil { //esrvet:ignore A8 quorum release round: object locks stay held until each member releases
+			if err := e.call(origin, sid, request{Kind: "qrelease", Tx: tx}); err != nil {
 				go e.retryUntilDelivered(origin, sid, request{Kind: "qrelease", Tx: tx})
 			}
 		}
@@ -340,7 +340,7 @@ func (e *Engine) updateQuorum(origin clock.SiteID, tx lock.TxID, ops []op.Op) er
 		if e.voteWeight(sid) == 0 {
 			continue // witness-less zero-weight copies cast no votes
 		}
-		if err := e.call(origin, sid, request{Kind: "qlock", Tx: tx, Objects: objs}); err != nil { //esrvet:ignore A8 qlock round holds earlier members' object locks while later members vote
+		if err := e.call(origin, sid, request{Kind: "qlock", Tx: tx, Objects: objs}); err != nil {
 			continue
 		}
 		locked[sid] = true
@@ -360,7 +360,7 @@ func (e *Engine) updateQuorum(origin clock.SiteID, tx lock.TxID, ops []op.Op) er
 		var curVal op.Value
 		var curVer uint64
 		for _, sid := range quorum {
-			resp, err := e.callResp(origin, sid, request{Kind: "qread", Tx: tx, Object: obj}) //esrvet:ignore A8 qread runs with the write quorum's object locks held by design
+			resp, err := e.callResp(origin, sid, request{Kind: "qread", Tx: tx, Object: obj})
 			if err != nil {
 				release()
 				return fmt.Errorf("%w: version read at %v: %v", ErrUnavailable, sid, err)
@@ -377,7 +377,7 @@ func (e *Engine) updateQuorum(origin clock.SiteID, tx lock.TxID, ops []op.Op) er
 			}
 		}
 		for _, sid := range quorum {
-			if err := e.call(origin, sid, request{ //esrvet:ignore A8 qwrite installs versions under the quorum's object locks by design
+			if err := e.call(origin, sid, request{
 				Kind: "qwrite", Tx: tx, Object: obj, Value: newVal, Version: curVer + 1,
 			}); err != nil {
 				release()
@@ -396,7 +396,7 @@ func (e *Engine) readQuorum(site clock.SiteID, tx lock.TxID, objects []string) (
 	release := func() {
 		for sid := range locked {
 			sid := sid
-			if err := e.call(site, sid, request{Kind: "qrelease", Tx: tx}); err != nil { //esrvet:ignore A8 quorum release round: object locks stay held until each member releases
+			if err := e.call(site, sid, request{Kind: "qrelease", Tx: tx}); err != nil {
 				go e.retryUntilDelivered(site, sid, request{Kind: "qrelease", Tx: tx})
 			}
 		}
@@ -407,7 +407,7 @@ func (e *Engine) readQuorum(site clock.SiteID, tx lock.TxID, objects []string) (
 		if e.voteWeight(sid) == 0 {
 			continue
 		}
-		if err := e.call(site, sid, request{Kind: "qlock", Tx: tx, Objects: objs}); err != nil { //esrvet:ignore A8 qlock round holds earlier members' object locks while later members vote
+		if err := e.call(site, sid, request{Kind: "qlock", Tx: tx, Objects: objs}); err != nil {
 			continue
 		}
 		locked[sid] = true
@@ -427,7 +427,7 @@ func (e *Engine) readQuorum(site clock.SiteID, tx lock.TxID, objects []string) (
 		var curVer uint64
 		versions := make(map[clock.SiteID]uint64, len(quorum))
 		for _, sid := range quorum {
-			resp, err := e.callResp(site, sid, request{Kind: "qread", Tx: tx, Object: obj}) //esrvet:ignore A8 qread runs with the read quorum's object locks held by design
+			resp, err := e.callResp(site, sid, request{Kind: "qread", Tx: tx, Object: obj})
 			if err != nil {
 				release()
 				return nil, fmt.Errorf("%w: read at %v: %v", ErrUnavailable, sid, err)
@@ -446,7 +446,7 @@ func (e *Engine) readQuorum(site clock.SiteID, tx lock.TxID, objects []string) (
 				if versions[sid] >= curVer {
 					continue
 				}
-				if err := e.call(site, sid, request{ //esrvet:ignore A8 read repair writes back under the read quorum's object locks by design
+				if err := e.call(site, sid, request{
 					Kind: "qwrite", Tx: tx, Object: obj, Value: curVal, Version: curVer,
 				}); err == nil {
 					e.count(func(s *Stats) { s.Repairs++ })
@@ -573,10 +573,10 @@ func (e *Engine) callResp(from, to clock.SiteID, req request) (response, error) 
 // forever after a coordinator-side partition.
 func (e *Engine) retryUntilDelivered(from, to clock.SiteID, req request) {
 	for i := 0; i < 10000; i++ {
-		if err := e.call(from, to, req); err == nil { //esrvet:ignore A8 background redelivery retries while the stuck participant's locks are pinned; that is the point
+		if err := e.call(from, to, req); err == nil {
 			return
 		}
-		time.Sleep(time.Millisecond) //esrvet:ignore A8 redelivery backoff on a dedicated goroutine; the pinned locks cannot release until this lands
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -118,9 +118,6 @@ type Config struct {
 	Dir string
 	// LockTable selects the lock compatibility table sites use.
 	LockTable lock.Table
-	// RetryBackoff/RetryMax tune delivery-agent retries.  Zero values
-	// get sensible defaults.
-	RetryBackoff, RetryMax time.Duration
 	// DeliveryWindow is the in-flight window of the outbound delivery
 	// agents: up to this many messages leave per round as one network
 	// frame and are acknowledged with one batched journal record.  Zero
@@ -154,10 +151,6 @@ type Config struct {
 	// failover.  Typically 3 (majorities need an odd size).  Zero keeps
 	// the legacy centralized server at SequencerSite.
 	SeqReplicas int
-	// SeqElectionTimeout tunes the ensemble's base election timeout
-	// (tests use small values for fast failover).  Zero means the
-	// seqrep default.
-	SeqElectionTimeout time.Duration
 	// NumShards partitions the keyspace into that many independent
 	// ordering domains (et.ShardOf routes each object).  Every shard owns
 	// its own sequencer (legacy server or seqrep ensemble), outbound
@@ -171,6 +164,13 @@ type Config struct {
 // defaultDeliveryWindow is the outbound in-flight window when
 // Config.DeliveryWindow is zero.
 const defaultDeliveryWindow = 32
+
+// A delivery agent retries a failed send after retryBackoff, doubling
+// the wait up to retryMax.
+const (
+	retryBackoff = 200 * time.Microsecond
+	retryMax     = 50 * time.Millisecond
+)
 
 type link struct {
 	q queue.Queue
@@ -252,12 +252,6 @@ func (c *Cluster) configureSite(site *replica.Site) {
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Sites < 1 {
 		return nil, fmt.Errorf("core: need at least one site, got %d", cfg.Sites)
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 200 * time.Microsecond
-	}
-	if cfg.RetryMax == 0 {
-		cfg.RetryMax = 50 * time.Millisecond
 	}
 	if cfg.DeliveryWindow == 0 {
 		cfg.DeliveryWindow = defaultDeliveryWindow
@@ -383,7 +377,7 @@ func New(cfg Config) (*Cluster, error) {
 					}
 					return network.SendCtx(c.Net, from, to, m.Payload,
 						network.TraceContext{Origin: from, MSet: m.ID, Shard: s})
-				}, cfg.RetryBackoff, cfg.RetryMax)
+				}, retryBackoff, retryMax)
 				d.SetMetrics(c.met.deliveryMetrics(from, to))
 				d.SetTrace(c.Trace, int(from), int(to))
 				d.SetWindow(cfg.DeliveryWindow)
@@ -1094,7 +1088,7 @@ func (c *Cluster) Close() error {
 		for _, rs := range c.seqReps {
 			for _, r := range rs {
 				if r != nil {
-					r.Stop() //esrvet:ignore A8 shutdown path: replica Stop fsyncs final state under siteMu; no request traffic contends at Close
+					r.Stop()
 				}
 			}
 		}

@@ -1,8 +1,8 @@
 // The unified read path (DESIGN.md §13).  Every consistency level and
 // every method's ε-query runs through ReadAtSite, except the paper's two
 // alternative divergence controls: ORDUP's basic-TO query and RITU-MV's
-// VTNC query.  No code on this path touches the lock manager (esrvet
-// rule A11 enforces that).
+// VTNC query.  No code on this path touches the lock manager
+// (TestReadsTakeNoLocks in internal/sim checks that).
 
 package core
 

@@ -58,7 +58,7 @@ func (c *Cluster) CrashSite(id clock.SiteID) error {
 		return ErrSiteCrashed
 	}
 	c.Net.Crash(id)
-	c.crashSeqReplicaLocked(id) //esrvet:ignore A8 crash injection stops the co-hosted replica (final fsync) under siteMu so no reservation races the crash
+	c.crashSeqReplicaLocked(id)
 	s.Stop()
 	c.forEachInQ(id, func(shard int, q queue.Queue) {
 		q.Close()
@@ -161,7 +161,7 @@ func (c *Cluster) RestartSite(id clock.SiteID, recover RecoverFunc) error {
 	// re-broadcast lands parts in the inbound journals the per-shard
 	// sequence-intent scan reads, so decided cross-shard ETs re-propagate
 	// instead of being gap-filled into partial application.
-	if err := c.resolveXShardIntents(id, site); err != nil { //esrvet:ignore A8 recovery must finish (journal fsyncs included) before the site serves; siteMu is the restart gate
+	if err := c.resolveXShardIntents(id, site); err != nil {
 		return err
 	}
 	// Then settle each shard's last reserved sequence run: re-broadcast

@@ -58,13 +58,12 @@ func (c *Cluster) newSeqReplica(id clock.SiteID, shard int) (*seqrep.Replica, er
 	m := c.met.seqrepMetrics(id, shard)
 	m.Trace, m.TraceSite = c.Trace, int(id)
 	r, err := seqrep.New(seqrep.Config{
-		ID:              id,
-		Shard:           shard,
-		Replicas:        c.cfg.SeqReplicas,
-		Transport:       c.Net,
-		Dir:             c.cfg.Dir,
-		ElectionTimeout: c.cfg.SeqElectionTimeout,
-		Metrics:         m,
+		ID:        id,
+		Shard:     shard,
+		Replicas:  c.cfg.SeqReplicas,
+		Transport: c.Net,
+		Dir:       c.cfg.Dir,
+		Metrics:   m,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: sequencer replica %v shard %d: %w", id, shard, err)

@@ -165,7 +165,7 @@ func (c *Cluster) Submit(origin clock.SiteID, bursts [][]op.Op, p *Method) ([]et
 			if counts[sh] == 0 {
 				continue
 			}
-			n, err := c.NextSeqNShard(origin, sh, counts[sh]) //esrvet:ignore A8 reserve-then-broadcast must be atomic per origin and shard (SeqFloor promise); the submit gate is that lock
+			n, err := c.NextSeqNShard(origin, sh, counts[sh])
 			if err != nil {
 				return nil, err
 			}
@@ -218,12 +218,12 @@ func (c *Cluster) Submit(origin clock.SiteID, bursts [][]op.Op, p *Method) ([]et
 	}
 	if !cross {
 		err = c.BroadcastAll(msets)
-	} else if err = c.beginCrossShard(origin, msets); err == nil { //esrvet:ignore A8 the decision record must be durable before any part broadcasts, while the submit gates pin the reserved runs
+	} else if err = c.beginCrossShard(origin, msets); err == nil {
 		for sh := 0; sh < shards && err == nil; sh++ {
 			err = c.BroadcastAll(byShard[sh])
 		}
 		if err == nil {
-			err = c.endCrossShard(origin) //esrvet:ignore A8 the resolution marker must land while the per-shard submit gates still pin the reserved runs
+			err = c.endCrossShard(origin)
 		}
 	}
 	if err != nil {

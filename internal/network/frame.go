@@ -10,53 +10,39 @@ import (
 )
 
 // Wire format of the TCP transport.  Every frame starts with a single
-// codec-version byte so that future codec changes never crash old peers
-// mid-rollout: an unknown version is a typed, recognizable error, not a
-// misparsed length.
+// codec-version byte so that a codec change never crashes a peer: an
+// unknown version is a typed, recognizable error, not a misparsed
+// length.
 //
 //	offset  size  field
-//	0       1     codec version (1, 2 or 3)
+//	0       1     codec version (3)
 //	1       4     big-endian length of everything after this field
 //	5       1     frame kind (send / call / batch / resp)
 //	6       8     big-endian request id (matches responses to requests)
 //	14      8     big-endian origin site id
 //	22      8     big-endian destination site id
-//	-- versions 2 and 3 append the trace context --
 //	30      8     big-endian trace origin site id (0 = untraced)
 //	38      8     big-endian MSet message identity (0 for batch/resp)
 //	46      8     big-endian causal (Lamport) stamp
-//	-- version 3 appends the ordering shard --
 //	54      2     big-endian ordering-shard index
-//	30|54|56  —   body
+//	56      —     body
 //
 // Body by kind:
 //
 //	send, call:  the payload bytes, verbatim
-//	batch:       uint32 message count, then per message (v2+: uint64 MSet
-//	             identity +) uint32 length + bytes (the SendBatch
+//	batch:       uint32 message count, then per message uint64 MSet
+//	             identity + uint32 length + bytes (the SendBatch
 //	             framing: one frame per batch)
 //	resp:        1 status byte, then the response payload (ok) or the
 //	             error text (all failure codes)
 //
-// Version 2 added the causal trace context so every remote delivery is
-// attributable to its originating update; version 3 (this build's
-// native codec) adds the ordering shard the traffic belongs to, so
-// per-shard timelines survive the wire.  Decoding accepts all three —
-// a v1 frame carries an empty trace context, a v2 frame shard 0 — so a
-// v3 cluster can drain traffic from older peers during a rolling
-// upgrade.  Encoding always emits v3 (roll-forward).
+// Versions 1 (no trace context) and 2 (no ordering shard) are retired:
+// no peer emits them, and decoding them returns *CodecVersionError like
+// any other unknown version.
 
-// CodecVersion is the wire-format version this build emits.  It is the
-// first byte of every frame.
+// CodecVersion is the wire-format version this build speaks.  It is
+// the first byte of every frame.
 const CodecVersion = 3
-
-// codecV2 is the previous wire format, still accepted on decode: it
-// carries the trace context but no ordering shard.
-const codecV2 = 2
-
-// codecV1 is the original wire format, still accepted on decode: it
-// lacks the trailing trace context and batch-body MSet identities.
-const codecV1 = 1
 
 // Frame kinds.
 const (
@@ -77,18 +63,9 @@ const (
 	respPartitioned = byte(4)
 )
 
-// frameHeaderLen is the byte length of the fixed v1 header (version
-// through destination site); v2 headers carry traceCtxLen more bytes
-// and v3 headers traceCtxLenV3.
-const frameHeaderLen = 1 + 4 + 1 + 8 + 8 + 8
-
-// traceCtxLen is the byte length of the v2 trace-context extension
-// (trace origin + MSet identity + causal stamp).
-const traceCtxLen = 8 + 8 + 8
-
-// traceCtxLenV3 is the byte length of the v3 extension: the v2 trace
-// context plus the 2-byte ordering-shard index.
-const traceCtxLenV3 = traceCtxLen + 2
+// frameHeaderLen is the byte length of the header (version through
+// ordering shard).
+const frameHeaderLen = 1 + 4 + 1 + 8 + 8 + 8 + 8 + 8 + 8 + 2
 
 // maxFrameLen bounds a frame's post-length size: a garbage or hostile
 // length prefix must not become a multi-gigabyte allocation.
@@ -107,12 +84,11 @@ func (e *CodecVersionError) Error() string {
 	return fmt.Sprintf("network: unknown codec version %d (this build speaks %d)", e.Got, CodecVersion)
 }
 
-// TraceContext is the causal attribution carried by v2+ frames: which
+// TraceContext is the causal attribution every frame carries: which
 // update (origin site + MSet message identity) caused this network
 // activity, and the sender's causal stamp at send time.  The receiver
 // merges Stamp into its trace ring so downstream events order after
-// the sender's.  The zero value means "untraced" and is what v1 frames
-// decode to.
+// the sender's.  The zero value means "untraced".
 type TraceContext struct {
 	// Origin is the site whose update caused this traffic.
 	Origin clock.SiteID
@@ -122,8 +98,7 @@ type TraceContext struct {
 	MSet uint64
 	// Stamp is the sender's causal (Lamport) stamp at send time.
 	Stamp uint64
-	// Shard is the ordering shard this traffic belongs to (v3 frames
-	// only; v1/v2 frames decode to 0, the pre-sharding domain).
+	// Shard is the ordering shard this traffic belongs to.
 	Shard int
 }
 
@@ -131,7 +106,6 @@ type TraceContext struct {
 // only valid until the next read on the same connection, except where
 // noted (payloads handed to handlers are copied by the decoder).
 type frame struct {
-	ver      byte
 	kind     byte
 	req      uint64
 	from, to clock.SiteID
@@ -159,7 +133,7 @@ func putFrameBuf(b *[]byte) {
 	}
 }
 
-// appendFrameHeader appends the fixed v3 header (including the trace
+// appendFrameHeader appends the fixed header (including the trace
 // context and ordering shard) with a zero length field; finishFrame
 // patches the length once the body is in place.
 func appendFrameHeader(dst []byte, kind byte, req uint64, from, to clock.SiteID, tc TraceContext) []byte {
@@ -182,7 +156,7 @@ func finishFrame(dst []byte, start int) {
 	binary.BigEndian.PutUint32(dst[start+1:start+5], uint32(len(dst)-start-5))
 }
 
-// appendBatchBody appends the v2+ SendBatch body: message count, then
+// appendBatchBody appends the SendBatch body: message count, then
 // per message its MSet identity + length-prefixed payload.  ids may be
 // nil (untraced batch: identities are written as zero) but otherwise
 // must match payloads in length.
@@ -200,10 +174,9 @@ func appendBatchBody(dst []byte, payloads [][]byte, ids []uint64) []byte {
 	return dst
 }
 
-// splitBatchBody decodes a batch body into its payload slices and (for
-// v2+ bodies) per-message MSet identities; ids is nil for v1 bodies.
-// The returned payload slices alias body.
-func splitBatchBody(body []byte, ver byte) ([][]byte, []uint64, error) {
+// splitBatchBody decodes a batch body into its payload slices and
+// per-message MSet identities.  The returned payload slices alias body.
+func splitBatchBody(body []byte) ([][]byte, []uint64, error) {
 	if len(body) < 4 {
 		return nil, nil, fmt.Errorf("network: batch frame truncated (%d bytes)", len(body))
 	}
@@ -213,18 +186,13 @@ func splitBatchBody(body []byte, ver byte) ([][]byte, []uint64, error) {
 		return nil, nil, fmt.Errorf("network: batch frame claims %d messages", n)
 	}
 	out := make([][]byte, 0, n)
-	var ids []uint64
-	if ver >= codecV2 {
-		ids = make([]uint64, 0, n)
-	}
+	ids := make([]uint64, 0, n)
 	for i := uint32(0); i < n; i++ {
-		if ver >= codecV2 {
-			if len(body) < 8 {
-				return nil, nil, fmt.Errorf("network: batch frame truncated at message %d identity", i)
-			}
-			ids = append(ids, binary.BigEndian.Uint64(body))
-			body = body[8:]
+		if len(body) < 8 {
+			return nil, nil, fmt.Errorf("network: batch frame truncated at message %d identity", i)
 		}
+		ids = append(ids, binary.BigEndian.Uint64(body))
+		body = body[8:]
 		if len(body) < 4 {
 			return nil, nil, fmt.Errorf("network: batch frame truncated at message %d", i)
 		}
@@ -242,56 +210,41 @@ func splitBatchBody(body []byte, ver byte) ([][]byte, []uint64, error) {
 	return out, ids, nil
 }
 
-// readFrame reads one frame from r, accepting both the current codec
-// and v1 (whose frames decode to an empty trace context).  An unknown
-// leading version byte returns *CodecVersionError; the caller must
-// close the connection (the framing beyond an unknown codec cannot be
-// trusted).  The returned frame's body is freshly allocated and safe
-// to retain.
+// readFrame reads one frame from r.  A leading version byte other than
+// CodecVersion returns *CodecVersionError; the caller must close the
+// connection (the framing beyond an unknown codec cannot be trusted).
+// The returned frame's body is freshly allocated and safe to retain.
 func readFrame(r io.Reader) (frame, error) {
-	var hdr [frameHeaderLen + traceCtxLenV3]byte
+	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return frame{}, err
 	}
-	if hdr[0] != CodecVersion && hdr[0] != codecV2 && hdr[0] != codecV1 {
+	if hdr[0] != CodecVersion {
 		return frame{}, &CodecVersionError{Got: hdr[0]}
 	}
-	hdrLen := frameHeaderLen
-	switch hdr[0] {
-	case CodecVersion:
-		hdrLen += traceCtxLenV3
-	case codecV2:
-		hdrLen += traceCtxLen
-	}
-	if _, err := io.ReadFull(r, hdr[1:hdrLen]); err != nil {
+	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
 		return frame{}, fmt.Errorf("network: short frame header: %w", err)
 	}
 	length := binary.BigEndian.Uint32(hdr[1:5])
-	if length < uint32(hdrLen-5) {
+	if length < frameHeaderLen-5 {
 		return frame{}, fmt.Errorf("network: frame length %d shorter than header", length)
 	}
 	if length > maxFrameLen {
 		return frame{}, fmt.Errorf("network: frame length %d exceeds limit %d", length, maxFrameLen)
 	}
 	f := frame{
-		ver:  hdr[0],
 		kind: hdr[5],
 		req:  binary.BigEndian.Uint64(hdr[6:14]),
 		from: clock.SiteID(binary.BigEndian.Uint64(hdr[14:22])),
 		to:   clock.SiteID(binary.BigEndian.Uint64(hdr[22:30])),
-	}
-	if f.ver >= codecV2 {
-		f.tc = TraceContext{
+		tc: TraceContext{
 			Origin: clock.SiteID(binary.BigEndian.Uint64(hdr[30:38])),
 			MSet:   binary.BigEndian.Uint64(hdr[38:46]),
 			Stamp:  binary.BigEndian.Uint64(hdr[46:54]),
-		}
+			Shard:  int(binary.BigEndian.Uint16(hdr[54:56])),
+		},
 	}
-	if f.ver == CodecVersion {
-		f.tc.Shard = int(binary.BigEndian.Uint16(hdr[54:56]))
-	}
-	bodyLen := int(length) - (hdrLen - 5)
-	if bodyLen > 0 {
+	if bodyLen := int(length) - (frameHeaderLen - 5); bodyLen > 0 {
 		f.body = make([]byte, bodyLen)
 		if _, err := io.ReadFull(r, f.body); err != nil {
 			return frame{}, fmt.Errorf("network: short frame body: %w", err)

@@ -1,9 +1,8 @@
 package network
 
-// Codec tests: the v2 wire format round-trips its trace context and
-// batch identities, and — the rolling-upgrade contract — hand-crafted
-// v1 frames still decode on a v2 build, while genuinely unknown
-// versions surface the typed error.
+// Codec tests: the wire format round-trips its trace context and batch
+// identities, and every other version byte, the retired v1 and v2
+// included, surfaces the typed error.
 
 import (
 	"bytes"
@@ -11,13 +10,14 @@ import (
 	"errors"
 	"net"
 	"testing"
+	"time"
 
 	"esr/internal/clock"
 	"esr/internal/trace"
 )
 
 func TestFrameV2RoundTrip(t *testing.T) {
-	tc := TraceContext{Origin: 3, MSet: 0xdeadbeef, Stamp: 42}
+	tc := TraceContext{Origin: 3, MSet: 0xdeadbeef, Stamp: 42, Shard: 5}
 	b := appendFrameHeader(nil, frameSend, 7, 1, 2, tc)
 	b = append(b, []byte("payload")...)
 	finishFrame(b, 0)
@@ -26,7 +26,7 @@ func TestFrameV2RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
-	if f.ver != CodecVersion || f.kind != frameSend || f.req != 7 || f.from != 1 || f.to != 2 {
+	if f.kind != frameSend || f.req != 7 || f.from != 1 || f.to != 2 {
 		t.Errorf("frame = %+v", f)
 	}
 	if f.tc != tc {
@@ -41,7 +41,7 @@ func TestBatchBodyV2CarriesIdentities(t *testing.T) {
 	payloads := [][]byte{[]byte("a"), []byte("bb"), []byte("")}
 	ids := []uint64{0x10, 0x20, 0x30}
 	body := appendBatchBody(nil, payloads, ids)
-	got, gotIDs, err := splitBatchBody(body, CodecVersion)
+	got, gotIDs, err := splitBatchBody(body)
 	if err != nil {
 		t.Fatalf("splitBatchBody: %v", err)
 	}
@@ -53,16 +53,16 @@ func TestBatchBodyV2CarriesIdentities(t *testing.T) {
 	}
 	// nil ids encode as zero identities, not a different layout.
 	body = appendBatchBody(nil, payloads, nil)
-	_, gotIDs, err = splitBatchBody(body, CodecVersion)
+	_, gotIDs, err = splitBatchBody(body)
 	if err != nil || len(gotIDs) != 3 || gotIDs[0] != 0 {
 		t.Errorf("untraced batch ids = %#x, err %v", gotIDs, err)
 	}
 }
 
-// appendFrameHeaderV1 hand-crafts the previous (30-byte header, no
-// trace context) frame layout, as a v1 peer would emit it.
+// appendFrameHeaderV1 hand-crafts the retired v1 layout (30-byte
+// header, no trace context), as a v1 peer would emit it.
 func appendFrameHeaderV1(dst []byte, kind byte, req uint64, from, to clock.SiteID) []byte {
-	dst = append(dst, codecV1)
+	dst = append(dst, 1)
 	dst = append(dst, 0, 0, 0, 0)
 	dst = append(dst, kind)
 	dst = binary.BigEndian.AppendUint64(dst, req)
@@ -71,62 +71,14 @@ func appendFrameHeaderV1(dst []byte, kind byte, req uint64, from, to clock.SiteI
 	return dst
 }
 
-// appendBatchBodyV1 hand-crafts the v1 batch body: count + per-message
-// length-prefixed payloads, no identities.
-func appendBatchBodyV1(dst []byte, payloads [][]byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payloads)))
-	for _, p := range payloads {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(p)))
-		dst = append(dst, p...)
-	}
-	return dst
-}
-
-// TestFrameV1BackwardCompatible pins the rolling-upgrade contract: a
-// v2 build decodes v1 frames (send and batch) with an empty trace
-// context and nil batch identities.
-func TestFrameV1BackwardCompatible(t *testing.T) {
-	b := appendFrameHeaderV1(nil, frameSend, 9, 4, 5)
-	b = append(b, []byte("old")...)
-	finishFrame(b, 0)
-	f, err := readFrame(bytes.NewReader(b))
-	if err != nil {
-		t.Fatalf("readFrame(v1): %v", err)
-	}
-	if f.ver != codecV1 || f.req != 9 || f.from != 4 || f.to != 5 || string(f.body) != "old" {
-		t.Errorf("v1 frame = %+v", f)
-	}
-	if f.tc != (TraceContext{}) {
-		t.Errorf("v1 frame decoded a trace context: %+v", f.tc)
-	}
-
-	bb := appendFrameHeaderV1(nil, frameBatch, 10, 4, 5)
-	bb = appendBatchBodyV1(bb, [][]byte{[]byte("x"), []byte("yz")})
-	finishFrame(bb, 0)
-	fb, err := readFrame(bytes.NewReader(bb))
-	if err != nil {
-		t.Fatalf("readFrame(v1 batch): %v", err)
-	}
-	payloads, ids, err := splitBatchBody(fb.body, fb.ver)
-	if err != nil {
-		t.Fatalf("splitBatchBody(v1): %v", err)
-	}
-	if len(payloads) != 2 || string(payloads[1]) != "yz" {
-		t.Errorf("v1 batch payloads = %q", payloads)
-	}
-	if ids != nil {
-		t.Errorf("v1 batch decoded identities: %#x", ids)
-	}
-}
-
 // TestFrameV1EndToEnd drives a hand-crafted v1 frame through a live
-// server connection: the handler runs and the (v2) response comes
-// back — a v1 sender's traffic drains during a rolling upgrade.
+// server connection: the server drops the connection without running
+// the handler.
 func TestFrameV1EndToEnd(t *testing.T) {
 	_, b := tcpPair(t)
-	got := make(chan []byte, 1)
-	b.Register(2, func(_ clock.SiteID, p []byte) ([]byte, error) {
-		got <- append([]byte(nil), p...)
+	ran := make(chan struct{}, 1)
+	b.Register(2, func(clock.SiteID, []byte) ([]byte, error) {
+		ran <- struct{}{}
 		return []byte("ack"), nil
 	})
 	raw, err := net.Dial("tcp", b.Addr())
@@ -140,30 +92,58 @@ func TestFrameV1EndToEnd(t *testing.T) {
 	if _, err := raw.Write(fr); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	resp, err := readFrame(raw)
-	if err != nil {
-		t.Fatalf("read response: %v", err)
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if resp, err := readFrame(raw); err == nil {
+		t.Fatalf("v1 frame answered with %+v, want the connection dropped", resp)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("server kept the connection open after a v1 frame")
 	}
-	if resp.kind != frameResp || len(resp.body) < 1 || resp.body[0] != respOK {
-		t.Fatalf("response = %+v", resp)
-	}
-	if string(resp.body[1:]) != "ack" {
-		t.Errorf("response payload = %q", resp.body[1:])
-	}
-	if string(<-got) != "legacy" {
-		t.Error("handler saw wrong payload")
+	select {
+	case <-ran:
+		t.Error("handler ran for a v1 frame")
+	default:
 	}
 }
 
 func TestFrameUnknownVersionTyped(t *testing.T) {
-	b := appendFrameHeader(nil, frameSend, 1, 1, 2, TraceContext{})
+	// 1 and 2 are the retired codecs; they are as unknown as any other.
+	for _, v := range []byte{0, 1, 2, CodecVersion + 1, 0xff} {
+		b := appendFrameHeader(nil, frameSend, 1, 1, 2, TraceContext{})
+		finishFrame(b, 0)
+		b[0] = v
+		var cve *CodecVersionError
+		if _, err := readFrame(bytes.NewReader(b)); !errors.As(err, &cve) {
+			t.Fatalf("version %d: readFrame = %v, want *CodecVersionError", v, err)
+		} else if cve.Got != v {
+			t.Errorf("version %d: Got = %d", v, cve.Got)
+		}
+	}
+}
+
+// TestFrameV1BackwardCompatible pins what a retired v1 peer now gets:
+// its send and batch frames, hand-crafted in the old 30-byte-header
+// layout, are refused with the typed error instead of being misparsed
+// as v3 frames.
+func TestFrameV1BackwardCompatible(t *testing.T) {
+	b := appendFrameHeaderV1(nil, frameSend, 9, 4, 5)
+	b = append(b, []byte("old")...)
 	finishFrame(b, 0)
-	b[0] = CodecVersion + 1
-	var cve *CodecVersionError
-	if _, err := readFrame(bytes.NewReader(b)); !errors.As(err, &cve) {
-		t.Fatalf("readFrame = %v, want *CodecVersionError", err)
-	} else if cve.Got != CodecVersion+1 {
-		t.Errorf("Got = %d", cve.Got)
+
+	bb := appendFrameHeaderV1(nil, frameBatch, 10, 4, 5)
+	bb = binary.BigEndian.AppendUint32(bb, 2)
+	for _, p := range []string{"x", "yz"} {
+		bb = binary.BigEndian.AppendUint32(bb, uint32(len(p)))
+		bb = append(bb, p...)
+	}
+	finishFrame(bb, 0)
+
+	for name, fr := range map[string][]byte{"send": b, "batch": bb} {
+		var cve *CodecVersionError
+		if f, err := readFrame(bytes.NewReader(fr)); !errors.As(err, &cve) {
+			t.Errorf("v1 %s frame: readFrame = %+v, %v; want *CodecVersionError", name, f, err)
+		} else if cve.Got != 1 {
+			t.Errorf("v1 %s frame: Got = %d, want 1", name, cve.Got)
+		}
 	}
 }
 

@@ -812,7 +812,7 @@ func (t *TCP) dispatchRemote(f frame) (status byte, body []byte) {
 	var bytes uint64
 	switch f.kind {
 	case frameBatch:
-		payloads, _, err := splitBatchBody(f.body, f.ver)
+		payloads, _, err := splitBatchBody(f.body)
 		if err != nil {
 			return respErr, []byte(err.Error())
 		}

@@ -117,6 +117,56 @@ func TestCommutesMatrix(t *testing.T) {
 	}
 }
 
+// commutesTable pins Op.Commutes on one object: row kind against column
+// kind, for two operations with different arguments (Arg 2 and 3, Str
+// "a" and "b").  Columns follow Kind order.  COMMU's Table 3 grants
+// WU/WU compatibility exactly where this relation says true, so a kind
+// added without a row here fails TestCommutesTable.
+var commutesTable = map[Kind][8]bool{
+	//               read   write  inc    dec    mul    append uappend remove1
+	Read:            {true, false, false, false, false, false, false, false},
+	Write:           {false, false, false, false, false, false, false, false},
+	Increment:       {false, false, true, true, false, false, false, false},
+	Decrement:       {false, false, true, true, false, false, false, false},
+	Multiply:        {false, false, false, false, true, false, false, false},
+	Append:          {false, false, false, false, false, false, false, false},
+	UnorderedAppend: {false, false, false, false, false, false, true, true},
+	RemoveOne:       {false, false, false, false, false, false, true, true},
+}
+
+func TestCommutesTable(t *testing.T) {
+	if len(commutesTable) != len(kindNames) {
+		t.Fatalf("commutesTable has %d rows, want one per kind (%d)", len(commutesTable), len(kindNames))
+	}
+	for a := range kindNames {
+		row, ok := commutesTable[Kind(a)]
+		if !ok {
+			t.Fatalf("kind %v has no row in commutesTable", Kind(a))
+		}
+		for b := range kindNames {
+			x := Op{Kind: Kind(a), Object: "x", Arg: 2, Str: "a"}
+			y := Op{Kind: Kind(b), Object: "x", Arg: 3, Str: "b"}
+			if got := x.Commutes(y); got != row[b] {
+				t.Errorf("Commutes(%v, %v) = %v, want %v", x, y, got, row[b])
+			}
+		}
+	}
+}
+
+// TestCompensateEveryUpdateKind: backward replica control can undo any
+// committed update, so every update kind has an inverse.
+func TestCompensateEveryUpdateKind(t *testing.T) {
+	for k := range kindNames {
+		o := Op{Kind: Kind(k), Object: "x", Arg: 2, Str: "a"}
+		if !o.Kind.IsUpdate() {
+			continue
+		}
+		if _, ok := o.Compensate(NumValue(7)); !ok {
+			t.Errorf("Compensate(%v) is not ok", o)
+		}
+	}
+}
+
 func TestCommutesSymmetric(t *testing.T) {
 	if err := quick.Check(func(s opSeed, u opSeed) bool {
 		a, b := s.op(), u.op()
@@ -173,8 +223,7 @@ type opSeed struct {
 }
 
 func (s opSeed) op() Op {
-	kinds := []Kind{Read, Write, Increment, Decrement, Multiply, Append, UnorderedAppend, RemoveOne}
-	k := kinds[int(s.K)%len(kinds)]
+	k := Kind(int(s.K) % len(kindNames))
 	obj := "x"
 	if s.Obj {
 		obj = "y"

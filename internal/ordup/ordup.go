@@ -555,8 +555,10 @@ func (e *Engine) seqHeartbeatLoop() {
 				if e.c.OutBacklogShard(id, sh) > 2 {
 					continue
 				}
+				// Read the watermark with submit held, so every
+				// reservation below it is already enqueued.
 				st.submit.Lock()
-				wm, err := e.c.SeqCommittedWatermarkShard(id, sh) //esrvet:ignore A8 watermark must be read with submit held so every reservation below it is already enqueued
+				wm, err := e.c.SeqCommittedWatermarkShard(id, sh)
 				if err == nil {
 					hb := et.MSet{ET: e.c.NextET(id), Origin: id, Seq: floorSeq,
 						TS: s.Clock.Tick(), SeqFloor: wm + 1, Shard: sh}

@@ -182,7 +182,7 @@ func (l *Log) wait(ch chan error) error {
 	default:
 	}
 	if l.window > 0 {
-		time.Sleep(l.window) //esrvet:ignore A8 group-commit leader lingers for the flush window on purpose; commitMu is the batching gate
+		time.Sleep(l.window)
 	}
 	l.mu.Lock()
 	data, waiters, needSync := l.stage, l.waiters, l.needSync
@@ -191,7 +191,7 @@ func (l *Log) wait(ch chan error) error {
 	l.mu.Unlock()
 	err := ErrClosed
 	if !closed {
-		err = l.write(f, data, needSync) //esrvet:ignore A8 the leader's one write+fsync commits the whole cohort; commitMu held by design (group commit)
+		err = l.write(f, data, needSync)
 	}
 	if err == nil {
 		l.size.Add(int64(len(data)))
@@ -247,7 +247,7 @@ func (l *Log) compact(snapshot func() ([][]byte, bool)) error {
 	if !ok {
 		return nil
 	}
-	return l.rewrite(bodies) //esrvet:ignore A8 compaction rewrites and fsyncs the log under commitMu so no flush interleaves
+	return l.rewrite(bodies)
 }
 
 // rewrite is compaction's temp write and fsync, rename, directory fsync

@@ -261,7 +261,7 @@ func (r *Replica) Stop() {
 		return
 	}
 	r.closed = true
-	r.becomeFollowerLocked(r.term, false) //esrvet:ignore A8 term/vote must be fsynced before any reply mentions the new term; r.mu is the Raft state gate
+	r.becomeFollowerLocked(r.term, false)
 	close(r.done)
 	r.mu.Unlock()
 	r.wg.Wait()
@@ -305,7 +305,7 @@ func (r *Replica) run() {
 			r.mu.Unlock()
 		default:
 			if time.Since(r.lastHeard) >= r.timeout {
-				r.campaignLocked() //esrvet:ignore A8 campaign persists the bumped term under r.mu so no vote or reply can race the durable term
+				r.campaignLocked()
 			}
 			r.mu.Unlock()
 		}
@@ -381,7 +381,7 @@ func (r *Replica) tally(term, wm uint64, votes <-chan message) {
 		}
 		r.mu.Lock()
 		if m.Term > r.term {
-			r.becomeFollowerLocked(m.Term, true) //esrvet:ignore A8 term/vote must be fsynced before any reply mentions the new term; r.mu is the Raft state gate
+			r.becomeFollowerLocked(m.Term, true)
 			r.mu.Unlock()
 			return
 		}
@@ -423,7 +423,7 @@ func (r *Replica) becomeLeader(term, maxWM uint64) {
 	// at the adopted watermark.
 	r.commit = r.watermark
 	r.matched = make(map[clock.SiteID]uint64, len(r.peers))
-	r.persistLocked() //esrvet:ignore A8 watermark/term must hit disk before the reply leaves; holding r.mu across the fsync is the correctness point
+	r.persistLocked()
 	r.cfg.Metrics.Leader.Set(1)
 	r.cfg.Metrics.Trace.RecordMSetf(trace.Election, r.cfg.Metrics.TraceSite, "", 0,
 		"leader term=%d wm=%d", term, r.watermark)
@@ -489,7 +489,7 @@ func (r *Replica) replicateLocked() {
 				return
 			}
 			if m.Term > r.term {
-				r.becomeFollowerLocked(m.Term, true) //esrvet:ignore A8 term/vote must be fsynced before any reply mentions the new term; r.mu is the Raft state gate
+				r.becomeFollowerLocked(m.Term, true)
 				return
 			}
 			if r.role != leader || r.term != term || m.Flags&flagOK == 0 {
@@ -577,12 +577,13 @@ func (r *Replica) handleVote(m message) []byte {
 		return message{Kind: kindVoteResp, Term: r.term, From: uint64(r.cfg.ID)}.encode()
 	}
 	if m.Term > r.term {
-		r.becomeFollowerLocked(m.Term, true) //esrvet:ignore A8 term/vote must be fsynced before any reply mentions the new term; r.mu is the Raft state gate
+		r.becomeFollowerLocked(m.Term, true)
 	}
 	resp := message{Kind: kindVoteResp, Term: r.term, From: uint64(r.cfg.ID), Watermark: r.watermark}
 	if m.Term == r.term && (r.votedFor == 0 || r.votedFor == m.From) && r.role != leader {
 		r.votedFor = m.From
-		r.persistLocked() //esrvet:ignore A8 watermark/term must hit disk before the reply leaves; holding r.mu across the fsync is the correctness point
+		// Persist before replying: a granted vote must survive a crash.
+		r.persistLocked()
 		r.resetTimerLocked()
 		resp.Flags = flagOK
 	}
@@ -599,7 +600,7 @@ func (r *Replica) handleAppend(m message) []byte {
 		return message{Kind: kindAppendResp, Term: r.term, From: uint64(r.cfg.ID), Watermark: r.watermark}.encode()
 	}
 	if m.Term > r.term || r.role != follower {
-		r.becomeFollowerLocked(m.Term, m.Term > r.term) //esrvet:ignore A8 term/vote must be fsynced before any reply mentions the new term; r.mu is the Raft state gate
+		r.becomeFollowerLocked(m.Term, m.Term > r.term)
 	}
 	r.leaderID = m.From
 	r.resetTimerLocked()
@@ -609,7 +610,7 @@ func (r *Replica) handleAppend(m message) []byte {
 		changed = true
 	}
 	if changed {
-		r.persistLocked() //esrvet:ignore A8 watermark/term must hit disk before the reply leaves; holding r.mu across the fsync is the correctness point
+		r.persistLocked()
 	}
 	return message{Kind: kindAppendResp, Term: r.term, From: uint64(r.cfg.ID),
 		Watermark: r.watermark, Flags: flagOK}.encode()
@@ -667,7 +668,9 @@ func (r *Replica) handleReserve(m message) []byte {
 		// concurrent reservation that raced ahead of us may have
 		// already made this run durable — then the disk is skipped.
 		if r.persistedWM < end {
-			r.persistLocked() //esrvet:ignore A8 the run must be durable somewhere before the reply leaves; holding r.mu across the fsync keeps term/vote/watermark writes serialized
+			// Persist before replying: the run must be durable before the
+			// reservation's reply leaves.
+			r.persistLocked()
 		}
 		r.advanceCommitLocked()
 	}

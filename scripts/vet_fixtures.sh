@@ -2,22 +2,13 @@
 # Keep the analysis fixtures honest: every testdata/src package must
 # still compile and pass go vet.  `go vet ./...` skips testdata by
 # design, so the fixture directories are vetted explicitly here.
-#
-# copylock_bad exists to demonstrate mutex-by-value bugs, so vet's own
-# copylocks checker is disabled for that one package; esrvet's A2 is
-# the checker under test there.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 fail=0
 for dir in internal/analysis/testdata/src/*/; do
-  pkg="./${dir%/}"
-  flags=()
-  if [[ "$dir" == *copylock_bad* ]]; then
-    flags+=(-copylocks=false)
-  fi
-  if ! go vet "${flags[@]}" "$pkg"; then
-    echo "vet_fixtures: FAIL $pkg" >&2
+  if ! go vet "./${dir%/}"; then
+    echo "vet_fixtures: FAIL ./${dir%/}" >&2
     fail=1
   fi
 done
