@@ -430,12 +430,11 @@ func (t *top) render(b *strings.Builder, snap metrics.Snapshot, up int, now time
 	}
 	fmt.Fprintf(b, "esrtop — %s  method=%s  series=%d  %s\n",
 		where, orDash(method), snap.NumSeries(), now.Format("15:04:05"))
-	fmt.Fprintf(b, "cluster  commit/s %7.1f   apply/s %7.1f   net %s/s   lost/s %.1f   deadlocks %d\n\n",
+	fmt.Fprintf(b, "cluster  commit/s %7.1f   apply/s %7.1f   net %s/s   lost/s %.1f\n\n",
 		t.rate("esr_commits_total", cur, now),
 		t.rate("esr_site_applied_total", cur, now),
 		bytesUnit(t.rate("esr_net_bytes_total", cur, now)),
-		t.rate("esr_net_lost_total", cur, now),
-		int64(cur["esr_lock_deadlocks_total"]))
+		t.rate("esr_net_lost_total", cur, now))
 
 	names := make([]string, 0, len(sites))
 	for s := range sites {

@@ -17,7 +17,7 @@ import (
 //
 //   - Per function, a forward dataflow over the CFG tracks an abstract
 //     lock state: for every lock key (a canonical receiver expression
-//     like "e.mu", "s.Locks", or "st.mu/R" for read locks), whether it
+//     like "e.mu", "locks", or "st.mu/R" for read locks), whether it
 //     MAY and whether it MUST be held, plus the original acquisition
 //     position.
 //   - Each function's exit state becomes its summary: the locks it
@@ -59,7 +59,7 @@ type lockFact struct {
 	may  bool      // held on at least one path
 	must bool      // held on every path
 	pos  token.Pos // original acquisition site (kept across call boundaries)
-	desc string    // for opaque facts: "s.Locks acquired in (*Engine).serve"
+	desc string    // for opaque facts: "locks acquired in (*Engine).serve"
 }
 
 // relFact records a release of a caller-owned lock (one this function

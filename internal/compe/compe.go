@@ -35,7 +35,6 @@ import (
 	"esr/internal/core"
 	"esr/internal/divergence"
 	"esr/internal/et"
-	"esr/internal/lock"
 	"esr/internal/op"
 	"esr/internal/replica"
 	"esr/internal/trace"
@@ -132,7 +131,6 @@ type Engine struct {
 
 // New builds and starts a COMPE engine.
 func New(cfg Config) (*Engine, error) {
-	cfg.Core.LockTable = lock.COMMU
 	c, err := core.New(cfg.Core)
 	if err != nil {
 		return nil, err
@@ -152,7 +150,7 @@ func New(cfg Config) (*Engine, error) {
 	// mode's forward MSets do not commute, so they take one global order
 	// — §4.2 pairs full-log rollback with ORDUP-style processing ("This
 	// is the case with ORDUP operations").
-	e.method = core.Method{NotUpdate: ErrNotUpdate, AdmitOp: e.admissible, LockFirst: true}
+	e.method = core.Method{NotUpdate: ErrNotUpdate, AdmitOp: e.admissible}
 	if cfg.Mode == General {
 		e.method.Order = core.Sequenced
 	} else {
@@ -381,9 +379,7 @@ func (e *Engine) apply(s *replica.Site, sl *siteLog, m et.MSet) error {
 // apply kernel and remembers it.  In General mode forward MSets apply in
 // global sequence order.  sl.mu is held across the whole apply, so each
 // op's prior value is captured atomically with it and the log order is
-// the apply order.  Only forward applies take WU locks at a COMPE site,
-// and all of them take sl.mu first, so the kernel's lock waits can never
-// close a cycle through sl.mu.
+// the apply order.
 func (e *Engine) applyForward(s *replica.Site, sl *siteLog, m et.MSet) error {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
@@ -396,13 +392,10 @@ func (e *Engine) applyForward(s *replica.Site, sl *siteLog, m et.MSet) error {
 		}
 	}
 	prevs := make([]op.Value, 0, len(m.Ops))
-	err := e.method.Apply(s, m, func(s *replica.Site, o op.Op) (op.Value, bool) {
+	e.method.Apply(s, m, func(s *replica.Site, o op.Op) (op.Value, bool) {
 		prevs = append(prevs, s.Store.Get(o.Object))
 		return s.Store.Apply(o), true
 	})
-	if err != nil {
-		return err
-	}
 	sl.entries = append(sl.entries, logEntry{m: m, prevs: prevs})
 	sl.applied[m.ET] = true
 	for _, obj := range op.Objects(m.Ops, false) {

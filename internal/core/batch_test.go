@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"esr/internal/et"
-	"esr/internal/lock"
 	"esr/internal/network"
 	"esr/internal/op"
 )
@@ -70,7 +69,7 @@ func TestNextSeqNReservesGapFreeRuns(t *testing.T) {
 
 func TestDurableBurstCostsOneFsyncPerLink(t *testing.T) {
 	dir := t.TempDir()
-	c, err := New(Config{Sites: 3, Net: network.Config{Seed: 1}, LockTable: lock.COMMU, Dir: dir})
+	c, err := New(Config{Sites: 3, Net: network.Config{Seed: 1}, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,6 @@ import (
 	"esr/internal/divergence"
 	"esr/internal/et"
 	"esr/internal/history"
-	"esr/internal/lock"
 	"esr/internal/metrics"
 	"esr/internal/network"
 	"esr/internal/op"
@@ -116,8 +115,6 @@ type Config struct {
 	// Dir, when non-empty, makes every stable queue journal-backed under
 	// this directory; empty means in-memory queues.
 	Dir string
-	// LockTable selects the lock compatibility table sites use.
-	LockTable lock.Table
 	// DeliveryWindow is the in-flight window of the outbound delivery
 	// agents: up to this many messages leave per round as one network
 	// frame and are acknowledged with one batched journal record.  Zero
@@ -132,7 +129,7 @@ type Config struct {
 	// that capacity (see internal/trace).
 	Trace int
 	// Metrics, when non-nil, instruments the whole pipeline (queues,
-	// locks, network, sites, WALs, propagation lag) on this registry.
+	// network, sites, WALs, propagation lag) on this registry.
 	// nil keeps the uninstrumented no-op path.
 	Metrics *metrics.Registry
 	// Method labels every exported series (method="ORDUP", ...).  Only
@@ -237,13 +234,11 @@ type Cluster struct {
 	closeOnce sync.Once
 }
 
-// configureSite applies the cluster's parallel-apply knobs to a freshly
-// built site — the apply worker pool size and the lock manager's
-// instruments — and has it report each applied MSet to the
-// applied-tracker.  Shared by New and RestartSite.
+// configureSite sizes a freshly built site's apply worker pool and has
+// it report each applied MSet to the applied-tracker.  Shared by New and
+// RestartSite.
 func (c *Cluster) configureSite(site *replica.Site) {
 	site.SetApplyWorkers(c.cfg.ApplyWorkers)
-	site.Locks.SetMetrics(c.met.lockMetrics(site.ID))
 	site.OnApplied = func(m et.MSet) { c.flights.applied(m, site.ID) }
 }
 
@@ -340,7 +335,7 @@ func New(cfg Config) (*Cluster, error) {
 			}
 			ins[s] = in
 		}
-		site := replica.NewShardedSite(id, ins, cfg.LockTable)
+		site := replica.NewShardedSite(id, ins)
 		site.Trace = c.Trace
 		site.Metrics = c.met.replicaMetrics(id)
 		site.Lag = c.Lag()

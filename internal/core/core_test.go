@@ -11,7 +11,6 @@ import (
 	"esr/internal/divergence"
 	"esr/internal/et"
 	"esr/internal/history"
-	"esr/internal/lock"
 	"esr/internal/network"
 	"esr/internal/op"
 	"esr/internal/replica"
@@ -19,7 +18,7 @@ import (
 
 func newCluster(t *testing.T, sites int, net network.Config, apply func(s *replica.Site) replica.ApplyFunc) *Cluster {
 	t.Helper()
-	c, err := New(Config{Sites: sites, Net: net, LockTable: lock.COMMU})
+	c, err := New(Config{Sites: sites, Net: net})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -161,7 +160,7 @@ func TestMessageLossMaskedByRetry(t *testing.T) {
 	// DeliveryWindow -1 forces one frame per message so the loss model
 	// gets a decision per message rather than per batched frame.
 	c, err := New(Config{Sites: 3, Net: network.Config{Seed: 3, LossRate: 0.4},
-		LockTable: lock.COMMU, DeliveryWindow: -1})
+		DeliveryWindow: -1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

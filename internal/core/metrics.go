@@ -14,7 +14,6 @@ import (
 
 	"esr/internal/clock"
 	"esr/internal/consistency"
-	"esr/internal/lock"
 	"esr/internal/metrics"
 	"esr/internal/network"
 	"esr/internal/queue"
@@ -124,13 +123,6 @@ type clusterMetrics struct {
 	siteParallelism *metrics.GaugeVec
 	siteApplySec    *metrics.HistogramVec
 
-	lockAcquires   *metrics.CounterVec
-	lockWaits      *metrics.CounterVec
-	lockDeadlocks  *metrics.CounterVec
-	lockConflicts  *metrics.CounterVec
-	lockWaitSec    *metrics.HistogramVec
-	lockContention *metrics.CounterVec
-
 	seqElections  *metrics.CounterVec
 	seqLeader     *metrics.GaugeVec
 	seqRetries    *metrics.Counter
@@ -185,13 +177,6 @@ func newClusterMetrics(reg *metrics.Registry, method string, sites int) *cluster
 		siteEvictions:   reg.Counter("esr_site_seen_evictions_total", "Applied-ID dedup entries evicted past the retention horizon.", "site"),
 		siteParallelism: reg.Gauge("esr_site_apply_parallelism", "Apply workers dispatched by the most recent scheduling pass.", "site"),
 		siteApplySec:    reg.Histogram("esr_site_apply_seconds", "Per-MSet apply latency by worker slot.", metrics.ScaleNanos, "site", "worker"),
-
-		lockAcquires:   reg.Counter("esr_lock_acquires_total", "Granted lock requests.", "site"),
-		lockWaits:      reg.Counter("esr_lock_waits_total", "Lock requests that blocked before granting.", "site"),
-		lockDeadlocks:  reg.Counter("esr_lock_deadlocks_total", "Lock requests aborted by deadlock detection.", "site"),
-		lockConflicts:  reg.Counter("esr_lock_conflicts_total", "Blocking lock conflicts by compatibility-table cell.", "site", "held", "req"),
-		lockWaitSec:    reg.Histogram("esr_lock_wait_seconds", "Grant delay of lock requests that blocked.", metrics.ScaleNanos, "site"),
-		lockContention: reg.Counter("esr_lock_stripe_contention_total", "Stripe-mutex acquisitions that found the stripe already locked.", "site"),
 
 		seqElections:  reg.Counter("esr_seq_elections_total", "Election rounds started by a sequencer replica.", "replica", "shard"),
 		seqLeader:     reg.Gauge("esr_seq_leader", "1 while the sequencer replica believes it leads.", "replica", "shard"),
@@ -369,25 +354,6 @@ func (m *clusterMetrics) replicaMetrics(id clock.SiteID) replica.Metrics {
 		ApplySeconds:  m.siteApplySec.Curry(s),
 		SafeTime:      m.siteSafeTime.With(s),
 		Watermark:     m.siteWatermark.With(s),
-	}
-}
-
-// lockMetrics resolves one site's lock-manager instruments.  The
-// conflict-by-table-cell counter keeps its held/req labels dynamic (the
-// mode pair is only known at conflict time), so SetMetrics receives the
-// vec curried down to the site.  Safe on nil.
-func (m *clusterMetrics) lockMetrics(id clock.SiteID) lock.Metrics {
-	if m == nil {
-		return lock.Metrics{}
-	}
-	s := siteLabel(id)
-	return lock.Metrics{
-		Acquires:         m.lockAcquires.With(s),
-		Waits:            m.lockWaits.With(s),
-		Deadlocks:        m.lockDeadlocks.With(s),
-		Conflicts:        m.lockConflicts.Curry(s),
-		WaitSeconds:      m.lockWaitSec.With(s),
-		StripeContention: m.lockContention.With(s),
 	}
 }
 

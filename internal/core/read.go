@@ -1,8 +1,7 @@
 // The unified read path (DESIGN.md §13).  Every consistency level and
 // every method's ε-query runs through ReadAtSite, except the paper's two
 // alternative divergence controls: ORDUP's basic-TO query and RITU-MV's
-// VTNC query.  No code on this path touches the lock manager
-// (TestReadsTakeNoLocks in internal/sim checks that).
+// VTNC query.  It takes no lock: a site has no lock manager.
 
 package core
 

@@ -43,7 +43,7 @@ func (c *Cluster) walPath(id clock.SiteID, shard int) string {
 // mid-stream (completing its in-flight apply, per the cooperative crash
 // model), the site's journal and WAL close, and the network marks the
 // site down so messages to and from it fail.  State not on disk — the
-// store, the lock table, the queue indexes — is lost.
+// store, the queue indexes — is lost.
 func (c *Cluster) CrashSite(id clock.SiteID) error {
 	if c.cfg.Dir == "" {
 		return ErrNotDurable
@@ -118,7 +118,7 @@ func (c *Cluster) RestartSite(id clock.SiteID, recover RecoverFunc) error {
 		ws[sh] = w
 		records = append(records, recs...)
 	}
-	site := replica.NewShardedSite(id, qs, c.cfg.LockTable)
+	site := replica.NewShardedSite(id, qs)
 	site.Trace = c.Trace
 	c.configureSite(site)
 	for sh := 0; sh < c.shards; sh++ {

@@ -7,7 +7,6 @@ import (
 
 	"esr/internal/clock"
 	"esr/internal/et"
-	"esr/internal/lock"
 	"esr/internal/network"
 	"esr/internal/op"
 	"esr/internal/replica"
@@ -16,10 +15,9 @@ import (
 func newDurable(t *testing.T, sites int) *Cluster {
 	t.Helper()
 	c, err := New(Config{
-		Sites:     sites,
-		Net:       network.Config{Seed: 1},
-		Dir:       t.TempDir(),
-		LockTable: lock.COMMU,
+		Sites: sites,
+		Net:   network.Config{Seed: 1},
+		Dir:   t.TempDir(),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -1,6 +1,6 @@
 // Shard routing: the keyspace is partitioned into Config.NumShards
 // disjoint ordering domains by FNV-1a over the object id (et.ShardOf,
-// the same hash the store and lock stripes use).  Each shard owns its
+// the same hash the store stripes use).  Each shard owns its
 // own sequencer (legacy or replicated ensemble), its own outbound
 // stable queues and delivery agents, its own inbound journal, WAL and
 // reservation-intent journal per site — so unrelated traffic never

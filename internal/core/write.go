@@ -16,7 +16,6 @@ import (
 
 	"esr/internal/clock"
 	"esr/internal/et"
-	"esr/internal/lock"
 	"esr/internal/op"
 	"esr/internal/replica"
 )
@@ -70,10 +69,6 @@ type Method struct {
 	// clock.  It runs under the tracker's lock, so a stamp derived from
 	// tracked state is registered before that state can move.
 	Stamp func(s *replica.Site, updates []op.Op) clock.Timestamp
-	// LockFirst requests each object's WU lock with the first update op
-	// on it, so the lock table judges commutativity; otherwise the lock
-	// op is a zero-Arg Write.
-	LockFirst bool
 	// Flights tracks the method's ETs until every site applied them (nil:
 	// untracked).
 	Flights *Flights
@@ -320,25 +315,14 @@ func (p *Method) stage(staged map[string]op.Kind, ops []op.Op) error {
 	return nil
 }
 
-// Apply is the write path's apply kernel.  It takes m's WU locks in
-// sorted object order (one total order, so appliers never deadlock),
-// applies m's ops with apply (nil: to the site's store), installs each
-// updated object's last value that apply reports, once, in the site's
-// version chain at m.TS (idempotent under redelivery) and releases the
-// locks.  The site notes m applied once its own bookkeeping has it.
-func (p *Method) Apply(s *replica.Site, m et.MSet, apply func(*replica.Site, op.Op) (op.Value, bool)) error {
+// Apply is the write path's apply kernel.  It applies m's ops with apply
+// (nil: to the site's store) and installs each updated object's last
+// value that apply reports, once, in the site's version chain at m.TS
+// (idempotent under redelivery).  It takes no lock: the site's apply
+// scheduler runs every MSet naming an object in one serial group.  The
+// site notes m applied once its own bookkeeping has it.
+func (p *Method) Apply(s *replica.Site, m et.MSet, apply func(*replica.Site, op.Op) (op.Value, bool)) {
 	objs := op.Objects(m.Ops, false)
-	tx := lock.TxID(m.ET)
-	for _, obj := range objs {
-		req := op.Op{Kind: op.Write, Object: obj}
-		if p.LockFirst {
-			req = m.Ops[slices.IndexFunc(m.Ops, func(o op.Op) bool { return o.Object == obj && o.Kind.IsUpdate() })]
-		}
-		if err := s.Locks.Acquire(tx, lock.WU, req); err != nil {
-			s.Locks.ReleaseAll(tx)
-			return fmt.Errorf("core: apply lock on %q: %w", obj, err)
-		}
-	}
 	type version struct {
 		val op.Value
 		ok  bool
@@ -365,8 +349,6 @@ func (p *Method) Apply(s *replica.Site, m et.MSet, apply func(*replica.Site, op.
 			s.MV.InstallMonotone(obj, m.TS, vers[i].val)
 		}
 	}
-	s.Locks.ReleaseAll(tx)
-	return nil
 }
 
 // Flights is the write path's applied-tracker: each update ET Submit

@@ -31,8 +31,8 @@ import (
 const MaxShards = 16
 
 // ShardOf maps an object to its ordering domain under n shards, with the
-// same FNV-1a hash the store and lock-manager stripes use, so an
-// object's shard is stable across every layer that partitions by key.
+// same FNV-1a hash the store stripes use, so an object's shard is stable
+// across every layer that partitions by key.
 // n <= 1 collapses to the single unsharded domain.
 func ShardOf(object string, n int) int {
 	if n <= 1 {

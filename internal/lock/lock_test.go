@@ -242,29 +242,6 @@ func TestLockCounters(t *testing.T) {
 	}
 }
 
-func TestWaitCounterBelow(t *testing.T) {
-	m := NewManager(COMMU)
-	defer m.Close()
-	m.IncCounter("x")
-	m.IncCounter("x")
-	done := make(chan error, 1)
-	go func() { done <- m.WaitCounterBelow("x", 2) }()
-	select {
-	case <-done:
-		t.Fatalf("WaitCounterBelow returned with counter at limit")
-	case <-time.After(20 * time.Millisecond):
-	}
-	m.DecCounter("x")
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("WaitCounterBelow = %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatalf("WaitCounterBelow never woke")
-	}
-}
-
 func TestCloseUnblocksWaiters(t *testing.T) {
 	m := NewManager(Standard)
 	w := op.WriteOp("x", 1)

@@ -197,10 +197,7 @@ func (f *family) child(values []string) any {
 }
 
 // CounterVec is a labeled counter family.
-type CounterVec struct {
-	f      *family
-	prefix []string // label values pre-bound by Curry
-}
+type CounterVec struct{ f *family }
 
 // With returns (creating if needed) the child for the label values, in
 // the order the family's label names were declared.  Safe on nil
@@ -209,21 +206,7 @@ func (v *CounterVec) With(values ...string) *Counter {
 	if v == nil {
 		return nil
 	}
-	if len(v.prefix) > 0 {
-		values = append(append(make([]string, 0, len(v.prefix)+len(values)), v.prefix...), values...)
-	}
 	return v.f.child(values).(*Counter)
-}
-
-// Curry returns a vec with the leading label values pre-bound, so a
-// component can receive a family partially resolved (e.g. the site
-// already fixed) and fill in the remaining labels at observation time.
-// Safe on nil.
-func (v *CounterVec) Curry(values ...string) *CounterVec {
-	if v == nil {
-		return nil
-	}
-	return &CounterVec{f: v.f, prefix: append(append([]string(nil), v.prefix...), values...)}
 }
 
 // GaugeVec is a labeled gauge family.
@@ -254,8 +237,10 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return v.f.child(values).(*Histogram)
 }
 
-// Curry returns a vec with the leading label values pre-bound, mirroring
-// CounterVec.Curry.  Safe on nil.
+// Curry returns a vec with the leading label values pre-bound, so a
+// component can receive a family partially resolved (e.g. the site
+// already fixed) and fill in the remaining labels at observation time.
+// Safe on nil.
 func (v *HistogramVec) Curry(values ...string) *HistogramVec {
 	if v == nil {
 		return nil

@@ -36,7 +36,6 @@ import (
 	"esr/internal/core"
 	"esr/internal/divergence"
 	"esr/internal/et"
-	"esr/internal/lock"
 	"esr/internal/op"
 	"esr/internal/replica"
 	"esr/internal/tsdc"
@@ -64,8 +63,7 @@ func (o Ordering) String() string {
 
 // Config parameterizes an ORDUP engine.
 type Config struct {
-	// Core configures the underlying cluster chassis.  Its LockTable is
-	// forced to lock.ORDUP.
+	// Core configures the underlying cluster chassis.
 	Core core.Config
 	// Ordering selects sequencer or Lamport ordering.
 	Ordering Ordering
@@ -73,8 +71,8 @@ type Config struct {
 	// mode while updates are outstanding (default 500µs).
 	Heartbeat time.Duration
 	// Scheduler selects the local divergence-control mechanism for
-	// queries: the Table 2 lock modes (default) or basic timestamp
-	// ordering (§3.1's alternative).
+	// queries: overlap pricing (default) or basic timestamp ordering
+	// (§3.1's alternative).
 	Scheduler Scheduler
 }
 
@@ -117,7 +115,7 @@ type Engine struct {
 	c      *core.Cluster
 	method core.Method
 	states map[clock.SiteID][]*siteState    // per (site, shard) ordering state
-	tos    map[clock.SiteID]*tsdc.Scheduler // per-site TO schedulers (nil under 2PL)
+	tos    map[clock.SiteID]*tsdc.Scheduler // per-site TO schedulers (nil under overlap pricing)
 
 	applies atomic.Uint64 // MSets applied anywhere (stall detection)
 
@@ -131,7 +129,6 @@ type Engine struct {
 
 // New builds and starts an ORDUP engine.
 func New(cfg Config) (*Engine, error) {
-	cfg.Core.LockTable = lock.ORDUP
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 500 * time.Microsecond
 	}
@@ -361,10 +358,7 @@ func (e *Engine) applySequenced(s *replica.Site, st *siteState, m et.MSet) error
 	}
 	st.mu.Unlock()
 	st.applyMu.Lock()
-	if err := e.applyOps(s, m); err != nil {
-		st.applyMu.Unlock()
-		return err
-	}
+	e.applyOps(s, m)
 	st.mu.Lock()
 	delete(st.arrived, m.Seq)
 	st.next++
@@ -409,9 +403,7 @@ func (e *Engine) installSnapshot(s *replica.Site, st *siteState, m et.MSet) erro
 		return replica.ErrStale
 	}
 	st.mu.Unlock()
-	if err := e.applyOps(s, m); err != nil {
-		return err
-	}
+	e.applyOps(s, m)
 	st.mu.Lock()
 	if m.Seq+1 > st.next {
 		st.next = m.Seq + 1
@@ -456,9 +448,7 @@ func (e *Engine) applyLamport(s *replica.Site, st *siteState, m et.MSet) error {
 		}
 	}
 	st.mu.Unlock()
-	if err := e.applyOps(s, m); err != nil {
-		return err
-	}
+	e.applyOps(s, m)
 	st.mu.Lock()
 	delete(st.pending, m.ET)
 	st.mu.Unlock()
@@ -469,9 +459,9 @@ func (e *Engine) applyLamport(s *replica.Site, st *siteState, m et.MSet) error {
 // applyOps applies the MSet through core's apply kernel.  Under
 // timestamp ordering the TO stamps bump before the values change, so
 // queries can bracket their reads.
-func (e *Engine) applyOps(s *replica.Site, m et.MSet) error {
+func (e *Engine) applyOps(s *replica.Site, m et.MSet) {
 	e.markTO(s.ID, m)
-	return e.method.Apply(s, m, nil)
+	e.method.Apply(s, m, nil)
 }
 
 // heartbeatLoop broadcasts empty MSets from every site while updates are

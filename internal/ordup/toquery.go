@@ -14,15 +14,19 @@ import (
 )
 
 // Scheduler selects the local divergence-control mechanism ORDUP sites
-// use to bound what query ETs see.  The paper presents both: the
-// modified 2PL compatibility of Table 2, and basic timestamp ordering
-// with an ESR twist ("the divergence control increments the
-// inconsistency counter and decides whether to allow the read depending
-// on the specified divergence limit", §3.1).
+// use to bound what query ETs see.  The paper presents two: the modified
+// 2PL compatibility of Table 2, and basic timestamp ordering with an ESR
+// twist ("the divergence control increments the inconsistency counter
+// and decides whether to allow the read depending on the specified
+// divergence limit", §3.1).  Queries are lock-free snapshot reads under
+// either, so the Table 2 arm takes no lock: it prices a read by the
+// update ETs it overlaps, which is what Table 2's RQ/WU compatibility
+// lets a query see.
 type Scheduler int
 
 const (
-	// TwoPhaseLocking uses the Table 2 lock modes (default).
+	// TwoPhaseLocking prices query reads by overlap, Table 2's view of
+	// what a query may see (default).  It takes no lock.
 	TwoPhaseLocking Scheduler = iota
 	// TimestampOrdering uses a basic-TO scheduler: each object carries
 	// the timestamp of its last write; query reads that observe a write
@@ -161,7 +165,7 @@ func (e *Engine) queryTO(site clock.SiteID, objects []string, eps divergence.Lim
 }
 
 // SchedulerStats returns the TO scheduler decision counters for a site
-// (zero stats under 2PL).
+// (zero stats under overlap pricing).
 func (e *Engine) SchedulerStats(site clock.SiteID) tsdc.Stats {
 	if sched := e.tos[site]; sched != nil {
 		return sched.Stats()

@@ -1,6 +1,6 @@
 // Package replica provides the per-site chassis every replica-control
-// method builds on: the local stores, lock manager, inbound stable queue,
-// and the MSet processor goroutine.
+// method builds on: the local stores, inbound stable queue, and the MSet
+// processor goroutine.
 //
 // A Site executes the "MSet processing" step of the paper's framework
 // (§2.4).  The method plugs in an ApplyFunc; the processor drains the
@@ -93,8 +93,6 @@ type Site struct {
 	Store *storage.Store
 	// MV is the multi-version local store (used by RITU).
 	MV *storage.MVStore
-	// Locks is the site's lock manager.
-	Locks *lock.Manager
 	// Clock is the site's Lamport clock.
 	Clock *clock.Lamport
 	// Trace, when non-nil, receives receive/hold/apply events.  Set it
@@ -143,20 +141,21 @@ type Site struct {
 	wg    sync.WaitGroup
 }
 
-// NewSite assembles a site around a single inbound stable queue and a
-// lock table — the unsharded configuration.  Call SetApply and Start
-// before delivering MSets.
-func NewSite(id clock.SiteID, in queue.Queue, table lock.Table) *Site {
-	return NewShardedSite(id, []queue.Queue{in}, table)
+// NewSite assembles a site around a single inbound stable queue — the
+// unsharded configuration.  Call SetApply and Start before delivering
+// MSets.  The lock table is ignored: a site takes no locks, its apply
+// scheduler is the only exclusion (see pass).
+func NewSite(id clock.SiteID, in queue.Queue, _ lock.Table) *Site {
+	return NewShardedSite(id, []queue.Queue{in})
 }
 
 // NewShardedSite assembles a site over one inbound stable queue per
 // ordering shard.  Incoming MSets route to their shard's queue by the
 // shard bits of their message identity, and Start launches one
 // processor per shard so the shards' apply cursors advance
-// independently.  The store, lock manager, clock and dedup indexes stay
-// site-wide: shards partition ordering, not state ownership.
-func NewShardedSite(id clock.SiteID, ins []queue.Queue, table lock.Table) *Site {
+// independently.  The store, clock and dedup indexes stay site-wide:
+// shards partition ordering, not state ownership.
+func NewShardedSite(id clock.SiteID, ins []queue.Queue) *Site {
 	if len(ins) == 0 {
 		panic("replica: site needs at least one inbound queue")
 	}
@@ -164,7 +163,6 @@ func NewShardedSite(id clock.SiteID, ins []queue.Queue, table lock.Table) *Site 
 		ID:        id,
 		Store:     storage.NewStore(),
 		MV:        storage.NewMVStore(),
-		Locks:     lock.NewManager(table),
 		Clock:     clock.NewLamport(id),
 		ins:       ins,
 		pending:   make(map[string]int),
@@ -258,7 +256,6 @@ func (s *Site) Stop() {
 		close(s.done)
 	}
 	s.wg.Wait()
-	s.Locks.Close()
 }
 
 // Receive accepts an MSet message into the inbound stable queue.  It is
@@ -624,15 +621,16 @@ type applyItem struct {
 // through the parallel apply scheduler: the queued window is sorted into
 // the method's order (Seq, then timestamp), partitioned into conflict
 // groups — two MSets land in the same group iff they name a common
-// object and their operations do not all pairwise commute (COMMU's
-// Table 3 rule) — and the groups are dispatched onto the apply worker
-// pool.  Items inside a group run serially in sorted order, so
-// non-commuting updates to an object keep their relative order; groups
-// are mutually commuting, so running them concurrently is
-// indistinguishable from some serial order.  A window containing a
-// compensation MSet collapses to one serial group: compensations edit
-// version chains of objects their MSet does not name (§4.2), so no op
-// footprint bounds them.
+// object — and the groups are dispatched onto the apply worker pool.
+// Items inside a group run serially in sorted order, so every update to
+// an object keeps its window order, commuting or not; groups touch
+// disjoint objects, so running them concurrently is indistinguishable
+// from some serial order.  This grouping is the site's only exclusion at
+// apply time: every store and version-chain mutation runs inside a pass,
+// in the one group that holds every MSet of the window naming that
+// object.  A window containing a compensation MSet collapses to one
+// serial group: compensations edit version chains of objects their MSet
+// does not name (§4.2), so no op footprint bounds them.
 //
 // All acks earned during the pass are retired with a single AckBatch at
 // the end — one journal record and one fsync per pass instead of one
@@ -675,7 +673,7 @@ loop:
 			s.decoded[msg.ID] = m
 			s.mu.Unlock()
 		}
-		// A read does not commute with an update, so it fences
+		// A read names its object like an update does, so it fences
 		// scheduling like one.
 		items = append(items, applyItem{msg: msg, m: m, objs: op.Objects(m.Ops, true)})
 	}
@@ -838,17 +836,19 @@ func (s *Site) applyOne(it applyItem, hist *metrics.Histogram) (ack, ok bool) {
 }
 
 // conflictGroups partitions the sorted window into groups that must run
-// serially.  Union-find over the items: two items sharing an object are
-// unioned unless every operation pair between them commutes — exactly
-// the relaxation COMMU's Table 3 grants WU/WU pairs.  Reads count as
-// footprint too (a read does not commute with an update).  Items with
-// an empty footprint (e.g. COMPE commit records, which only advance
-// engine state under the engine's own lock) stay singleton groups.  Any
-// compensation MSet collapses the whole window into one group: backward
-// control edits version chains its MSet does not name (§4.2).  So does
-// any MSet carrying a sequence floor: an ORDUP site may skip a number
-// below every origin's floor only once each lower-numbered MSet of the
-// window has reached the engine, which only window order guarantees.
+// serially.  Union-find over the items: every item is unioned with the
+// first item naming each of its objects, so items sharing an object share
+// a group.  Commuting ops are not exempt: §3.2 lets them run in any
+// order, one at a time, but two applies interleaved on one object would
+// leave its version chain out of step with its store.  Reads count as
+// footprint too.  Items with an empty footprint (e.g. COMPE commit
+// records, which only advance engine state under the engine's own lock)
+// stay singleton groups.  Any compensation MSet collapses the whole
+// window into one group: backward control edits version chains its MSet
+// does not name (§4.2).  So does any MSet carrying a sequence floor: an
+// ORDUP site may skip a number below every origin's floor only once each
+// lower-numbered MSet of the window has reached the engine, which only
+// window order guarantees.
 func conflictGroups(items []applyItem) [][]applyItem {
 	n := len(items)
 	if n == 0 {
@@ -863,36 +863,23 @@ func conflictGroups(items []applyItem) [][]applyItem {
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(i int) int {
+	find := func(i int) int {
 		for parent[i] != i {
 			parent[i] = parent[parent[i]]
 			i = parent[i]
 		}
 		return i
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
-	}
-	byObj := make(map[string][]int)
+	first := make(map[string]int) // object -> first item naming it
 	for i, it := range items {
 		for _, obj := range it.objs {
-			byObj[obj] = append(byObj[obj], i)
-		}
-	}
-	for _, idxs := range byObj {
-		for x := 1; x < len(idxs); x++ {
-			for y := 0; y < x; y++ {
-				a, b := idxs[y], idxs[x]
-				if find(a) == find(b) {
-					continue
-				}
-				if !msetsCommute(items[a].m, items[b].m) {
-					union(a, b)
-				}
+			f, ok := first[obj]
+			if !ok {
+				first[obj] = i
+				continue
+			}
+			if rf, ri := find(f), find(i); rf != ri {
+				parent[ri] = rf
 			}
 		}
 	}
@@ -911,19 +898,6 @@ func conflictGroups(items []applyItem) [][]applyItem {
 		groups[gi] = append(groups[gi], it)
 	}
 	return groups
-}
-
-// msetsCommute reports whether every operation pair drawn from the two
-// MSets commutes (ops on distinct objects always do).
-func msetsCommute(a, b et.MSet) bool {
-	for _, oa := range a.Ops {
-		for _, ob := range b.Ops {
-			if !oa.Commutes(ob) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // pruneSeen records newly acked IDs in the retention ring and evicts the

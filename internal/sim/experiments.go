@@ -91,7 +91,7 @@ func Experiments() []Experiment {
 		{ID: "E12", Title: "Skewed access: hot-object inconsistency and per-object ε",
 			Claim: "§5.1 (spatial consistency): different objects may tolerate different asynchronous inconsistency",
 			Run:   runE12},
-		{ID: "E13", Title: "ORDUP divergence-control ablation: 2PL tables vs basic timestamps",
+		{ID: "E13", Title: "ORDUP divergence-control ablation: overlap pricing vs basic timestamps",
 			Claim: "§3.1: the detection of out-of-order execution depends on the particular divergence control method — 2PL (Table 2) or basic timestamps",
 			Run:   runE13},
 		{ID: "E14", Title: "Message loss: stable-queue retry masks unreliable links",
@@ -865,10 +865,11 @@ func runE12(quick bool) (*tabular.Table, error) {
 // --- E13 ---
 
 // runE13 ablates ORDUP's local divergence control: the same workload
-// runs once under the Table 2 lock modes and once under basic timestamp
+// runs once under overlap pricing and once under basic timestamp
 // ordering.  Both must keep the ε bound; they differ in how reads are
-// priced (2PL counts overlapping update ETs; TO counts out-of-order
-// object observations) and in mechanism cost.
+// priced (overlap pricing counts overlapping update ETs; TO counts
+// out-of-order object observations) and in mechanism cost.  Neither
+// takes a lock: queries are snapshot reads.
 func runE13(quick bool) (*tabular.Table, error) {
 	ops := 40
 	if quick {

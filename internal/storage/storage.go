@@ -26,8 +26,9 @@ import (
 	"esr/internal/op"
 )
 
-// defaultStripes is the stripe count for both store kinds; it matches
-// lock.DefaultStripes so lock and store sharding degrade together.
+// defaultStripes is the stripe count for both store kinds.  Sixteen
+// keeps per-stripe maps small while making same-stripe collisions between
+// objects that parallel apply groups touch rare.
 const defaultStripes = 16
 
 // stripeIndex maps an object name to a stripe slot (fnv-1a, allocation
