@@ -488,24 +488,10 @@ func (c *Cluster) registerSequencer() {
 // network handlers (also used when a crashed site restarts).
 func (c *Cluster) registerHandlers(id clock.SiteID, site *replica.Site) {
 	c.Net.Register(id, func(from clock.SiteID, payload []byte) ([]byte, error) {
-		m, err := et.DecodeMSet(payload)
-		if err != nil {
-			return nil, err
-		}
-		return nil, site.Receive(queue.Message{ID: msgIDFor(m), Payload: payload})
+		return nil, site.Receive(payload)
 	})
 	c.Net.RegisterBatch(id, func(from clock.SiteID, payloads [][]byte) error {
-		msgs := make([]queue.Message, len(payloads))
-		decoded := make([]et.MSet, len(payloads))
-		for i, p := range payloads {
-			m, err := et.DecodeMSet(p)
-			if err != nil {
-				return err
-			}
-			msgs[i] = queue.Message{ID: msgIDFor(m), Payload: p}
-			decoded[i] = m
-		}
-		return site.ReceiveDecodedBatch(msgs, decoded)
+		return site.ReceiveBatch(payloads)
 	})
 }
 
@@ -842,7 +828,7 @@ func (c *Cluster) Broadcast(m et.MSet) error {
 		"ops=%d comp=%v", len(m.Ops), m.Compensation)
 	c.SiteMetrics(m.Origin).Commits.Inc()
 	c.Lag().Commit(msg.ID)
-	if err := origin.Receive(msg); err != nil {
+	if err := origin.ReceiveDecodedBatch([]queue.Message{msg}, []et.MSet{m}); err != nil {
 		return err
 	}
 	var enqErr error

@@ -81,7 +81,7 @@ func TestSiteCrashRecoveryEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Receive(queue.Message{ID: uint64(m.ET), Payload: payload}); err != nil {
+		if err := s.Receive(payload); err != nil {
 			t.Fatal(err)
 		}
 	}

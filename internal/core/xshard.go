@@ -25,8 +25,8 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync/atomic"
@@ -43,18 +43,23 @@ import (
 // install a CrashSite call here.
 var TestHookXShardCrash func(origin clock.SiteID)
 
-// xshardRec is one journal record: an intent carrying the encoded
-// per-shard MSets of a decided burst, or a resolution marker for the
-// intent before it.
-type xshardRec struct {
-	Commit bool     // true: resolution marker (Parts empty)
-	Parts  [][]byte // encoded et.MSets, one per (ET, shard) pair
-}
+// Journal record kinds, the first byte of every record body.  They lie
+// in 0x80..0xF7, where no gob stream can begin, so a journal in the
+// retired gob layout fails replay at its first record.
+const (
+	// xshardIntent: to the record's end, per (ET, shard) pair a uvarint
+	// length and one encoded et.MSet.
+	xshardIntent = 0xA1
+	// xshardCommit: the resolution marker for the intent before it; the
+	// kind byte alone.
+	xshardCommit = 0xA2
+)
 
 // xshardFile is one origin's cross-shard commit journal, a queue.Log of
-// gob records: intents are fsynced before begin returns, markers are
-// not, and the last unresolved intent wins.  Callers serialize begin
-// and end per origin (Submit holds the submit gates across both).
+// intent and marker records: intents are fsynced before begin returns,
+// markers are not, and the last unresolved intent wins.  Callers
+// serialize begin and end per origin (Submit holds the submit gates
+// across both).
 type xshardFile struct {
 	log     *queue.Log
 	pending atomic.Pointer[[][]byte] // parts of the last intent without a later marker
@@ -74,14 +79,17 @@ func xshardPath(dir string, id clock.SiteID) string {
 func openXShard(dir string, id clock.SiteID) (*xshardFile, error) {
 	xf := &xshardFile{}
 	l, err := queue.OpenLog(xshardPath(dir, id), 0, func(body []byte) error {
-		var rec xshardRec
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rec); err != nil {
-			return err
-		}
-		if rec.Commit {
+		switch {
+		case len(body) == 1 && body[0] == xshardCommit:
 			xf.pending.Store(nil)
-		} else {
-			xf.pending.Store(&rec.Parts)
+		case len(body) > 0 && body[0] == xshardIntent:
+			parts, err := decodeIntent(body[1:])
+			if err != nil {
+				return err
+			}
+			xf.pending.Store(&parts)
+		default:
+			return errors.New("unknown cross-shard record")
 		}
 		return nil
 	})
@@ -92,21 +100,34 @@ func openXShard(dir string, id clock.SiteID) (*xshardFile, error) {
 	return xf, nil
 }
 
-func encodeXShard(rec xshardRec) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(rec); err != nil {
-		return nil, fmt.Errorf("core: encode cross-shard record: %w", err)
+func encodeIntent(parts [][]byte) []byte {
+	b := []byte{xshardIntent}
+	for _, p := range parts {
+		b = append(binary.AppendUvarint(b, uint64(len(p))), p...)
 	}
-	return body.Bytes(), nil
+	return b
+}
+
+// decodeIntent parses an intent body after its kind byte; the parts
+// alias b.
+func decodeIntent(b []byte) ([][]byte, error) {
+	var parts [][]byte
+	for len(b) > 0 {
+		n, k := binary.Uvarint(b)
+		if k <= 0 || n > uint64(len(b)-k) {
+			return nil, errors.New("bad cross-shard part length")
+		}
+		parts = append(parts, b[k:k+int(n)])
+		b = b[k+int(n):]
+	}
+	return parts, nil
 }
 
 // begin durably records a decided cross-shard burst: the durability is
 // the protocol.
 func (xf *xshardFile) begin(parts [][]byte) error {
-	body, err := encodeXShard(xshardRec{Parts: parts})
-	if err != nil {
-		return err
-	}
+	body := encodeIntent(parts)
+	var err error
 	if xf.log.Size() > xshardCompactAt {
 		err = xf.log.Compact(body)
 	} else {
@@ -126,11 +147,7 @@ func (xf *xshardFile) end() error {
 	if xf.takePending() == nil {
 		return nil
 	}
-	body, err := encodeXShard(xshardRec{Commit: true})
-	if err != nil {
-		return err
-	}
-	if err := xf.log.Append(false, body); err != nil {
+	if err := xf.log.Append(false, []byte{xshardCommit}); err != nil {
 		return fmt.Errorf("core: record cross-shard resolution: %w", err)
 	}
 	xf.pending.Store(nil)

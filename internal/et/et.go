@@ -10,13 +10,38 @@
 // without referring to the theory: an update ET is executed at its origin
 // and its MSet is propagated asynchronously through stable queues; a
 // query ET reads local replicas under an ε budget.
+//
+// # Wire layout
+//
+// Encode writes one fixed binary layout, and every layer that carries an
+// MSet — network frames, stable-queue journals, WAL bodies, cross-shard
+// decision records, catch-up snapshots — carries these bytes as they are:
+//
+//	version    1 byte, 0x81
+//	ET         uvarint
+//	Seq        uvarint
+//	SeqFloor   uvarint
+//	Target     uvarint
+//	TS.Time    uvarint
+//	Origin     zigzag varint
+//	Shard      zigzag varint
+//	TS.Site    zigzag varint
+//	flags      1 byte: bit 0 Compensation, the rest zero
+//	op count   uvarint
+//	per op:    Kind (zigzag), Object (uvarint length + bytes),
+//	           Arg (zigzag), Str (uvarint length + bytes),
+//	           TS.Time (uvarint), TS.Site (zigzag)
+//
+// The encoding has no field names and no type descriptors: a one-op
+// MSet is a few dozen bytes.
 package et
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"time"
 
 	"esr/internal/clock"
@@ -178,23 +203,142 @@ func (m MSet) MsgID() uint64 {
 	return id
 }
 
-// Encode serializes the MSet for transport through a stable queue.
+// msetVersion is the codec's leading byte.  It lies in 0x80..0xF7,
+// where no gob stream can begin, so a record in the retired gob layout
+// fails at its first byte.
+const msetVersion = 0x81
+
+// flagCompensation is the flags-byte bit for MSet.Compensation; every
+// other bit must be clear.
+const flagCompensation = 1
+
+// minOpLen is the fewest bytes one encoded op occupies: six varints of
+// one byte each.
+const minOpLen = 6
+
+// Encode serializes the MSet in the binary layout of the package
+// comment, into one slice of exactly the encoded size.  The error is
+// always nil; it stays for callers that treat encoding as fallible.
 func (m MSet) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, fmt.Errorf("et: encode mset: %w", err)
+	n := 2 + uvarintLen(uint64(m.ET)) + uvarintLen(m.Seq) + uvarintLen(m.SeqFloor) +
+		uvarintLen(uint64(m.Target)) + uvarintLen(m.TS.Time) + varintLen(int64(m.Origin)) +
+		varintLen(int64(m.Shard)) + varintLen(int64(m.TS.Site)) + uvarintLen(uint64(len(m.Ops)))
+	for _, o := range m.Ops {
+		n += varintLen(int64(o.Kind)) + uvarintLen(uint64(len(o.Object))) + len(o.Object) +
+			varintLen(o.Arg) + uvarintLen(uint64(len(o.Str))) + len(o.Str) +
+			uvarintLen(o.TS.Time) + varintLen(int64(o.TS.Site))
 	}
-	return buf.Bytes(), nil
+	b := append(make([]byte, 0, n), msetVersion)
+	for _, v := range []uint64{uint64(m.ET), m.Seq, m.SeqFloor, uint64(m.Target), m.TS.Time} {
+		b = binary.AppendUvarint(b, v)
+	}
+	b = binary.AppendVarint(b, int64(m.Origin))
+	b = binary.AppendVarint(b, int64(m.Shard))
+	b = binary.AppendVarint(b, int64(m.TS.Site))
+	var flags byte
+	if m.Compensation {
+		flags = flagCompensation
+	}
+	b = binary.AppendUvarint(append(b, flags), uint64(len(m.Ops)))
+	for _, o := range m.Ops {
+		b = binary.AppendVarint(b, int64(o.Kind))
+		b = append(binary.AppendUvarint(b, uint64(len(o.Object))), o.Object...)
+		b = binary.AppendVarint(b, o.Arg)
+		b = append(binary.AppendUvarint(b, uint64(len(o.Str))), o.Str...)
+		b = binary.AppendVarint(binary.AppendUvarint(b, o.TS.Time), int64(o.TS.Site))
+	}
+	return b, nil
 }
 
-// DecodeMSet deserializes an MSet produced by Encode.
+// DecodeMSet deserializes an MSet produced by Encode.  It checks every
+// length and count against the bytes that remain and rejects unknown
+// versions, flags and op kinds and trailing bytes; bad input is an
+// error, never a panic.  The op strings share one copy of b.
 func DecodeMSet(b []byte) (MSet, error) {
-	var m MSet
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m); err != nil {
-		return MSet{}, fmt.Errorf("et: decode mset: %w", err)
+	if len(b) == 0 || b[0] != msetVersion {
+		return MSet{}, errors.New("et: decode mset: unknown codec version")
+	}
+	r := reader{s: string(b), b: b[1:]}
+	m := MSet{ET: ID(r.uvarint()), Seq: r.uvarint(), SeqFloor: r.uvarint(), Target: ID(r.uvarint())}
+	m.TS.Time = r.uvarint()
+	m.Origin = clock.SiteID(r.varint())
+	m.Shard = int(r.varint())
+	m.TS.Site = clock.SiteID(r.varint())
+	flags := r.uvarint() // a valid flags value is one byte either way
+	if flags&^flagCompensation != 0 {
+		r.fail("unknown flags")
+	}
+	m.Compensation = flags&flagCompensation != 0
+	if n := r.uvarint(); n > uint64(len(r.b)/minOpLen) {
+		r.fail("op count exceeds the remaining bytes")
+	} else if n > 0 {
+		m.Ops = make([]op.Op, n)
+	}
+	for i := range m.Ops {
+		o := &m.Ops[i]
+		if o.Kind = op.Kind(r.varint()); o.Kind < op.Read || o.Kind > op.RemoveOne {
+			r.fail("unknown op kind")
+		}
+		o.Object, o.Arg, o.Str = r.str(), r.varint(), r.str()
+		o.TS.Time = r.uvarint()
+		o.TS.Site = clock.SiteID(r.varint())
+	}
+	if r.err == nil && len(r.b) > 0 {
+		r.fail("trailing bytes")
+	}
+	if r.err != nil {
+		return MSet{}, r.err
 	}
 	return m, nil
 }
+
+// reader walks an encoded MSet.  The first failure sticks: it empties b,
+// so every later read fails too and returns zero.
+type reader struct {
+	s   string // the whole encoding, for allocation-free substrings
+	b   []byte // the bytes not yet read: the same bytes as s's tail
+	err error
+}
+
+func (r *reader) fail(why string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("et: decode mset at byte %d: %s", len(r.s)-len(r.b), why)
+	}
+	r.b = nil
+}
+
+func (r *reader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail("truncated or overlong varint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *reader) varint() int64 {
+	u := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1) // zigzag, as binary.AppendVarint writes it
+}
+
+// str reads a length-prefixed string as a substring of the encoding.
+func (r *reader) str() string {
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.fail("string length exceeds the remaining bytes")
+	}
+	if r.err != nil {
+		return ""
+	}
+	off := len(r.s) - len(r.b)
+	r.b = r.b[n:]
+	return r.s[off : off+int(n)]
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 // QueryResult is what a query ET returns to the application.
 type QueryResult struct {

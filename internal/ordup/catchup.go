@@ -15,15 +15,15 @@
 // becomes one synthetic MSet (ET in the reserved snapshot-ID range)
 // whose ops rebuild the store from empty and whose Seq is the last
 // sequence number the snapshot covers.  Applying it jumps the site's
-// cursor past the donor's prefix, and — because it flows through
-// Receive like any MSet — it lands in the inbound journal and the WAL,
-// so a second crash recovers the transferred state without a second
-// transfer.
+// cursor past the donor's prefix, and — because it flows through the
+// site's receive path like any MSet — it lands in the inbound journal
+// and the WAL, so a second crash recovers the transferred state without
+// a second transfer.
 package ordup
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -40,12 +40,38 @@ import (
 // snapChunk bounds one state-transfer response.
 const snapChunk = 64 << 10
 
-// siteSnapshot is the transferred state: ops that rebuild the donor's
-// store from empty, and the donor's next expected sequence number per
-// ordering shard.
-type siteSnapshot struct {
-	Nexts []uint64
-	Ops   []op.Op
+// encodeSnapshot builds the transferred state: the donor's next expected
+// sequence number per ordering shard (a uvarint count, then one uvarint
+// each), followed by one encoded et.MSet whose ops rebuild the donor's
+// store from empty.
+func encodeSnapshot(nexts []uint64, ops []op.Op) ([]byte, error) {
+	b := binary.AppendUvarint(nil, uint64(len(nexts)))
+	for _, n := range nexts {
+		b = binary.AppendUvarint(b, n)
+	}
+	m, err := et.MSet{Ops: ops}.Encode()
+	return append(b, m...), err
+}
+
+// decodeSnapshot parses a blob built by encodeSnapshot.
+func decodeSnapshot(b []byte) (nexts []uint64, ops []op.Op, err error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > uint64(len(b)-k) {
+		return nil, nil, errors.New("ordup: decode snapshot: bad shard count")
+	}
+	b = b[k:]
+	nexts = make([]uint64, n)
+	for i := range nexts {
+		if nexts[i], k = binary.Uvarint(b); k <= 0 {
+			return nil, nil, errors.New("ordup: decode snapshot: bad sequence number")
+		}
+		b = b[k:]
+	}
+	m, err := et.DecodeMSet(b)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ordup: decode snapshot: %w", err)
+	}
+	return nexts, m.Ops, nil
 }
 
 // registerSnapshotServers installs a snapshot handler for every locally
@@ -133,12 +159,7 @@ func (e *Engine) buildSnapshot(id clock.SiteID) ([]byte, error) {
 	for sh := len(sts) - 1; sh >= 0; sh-- {
 		sts[sh].applyMu.Unlock()
 	}
-	snap := siteSnapshot{Nexts: nexts, Ops: storeOps(values)}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("ordup: encode snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
+	return encodeSnapshot(nexts, storeOps(values))
 }
 
 // storeOps flattens store content into operations that rebuild it from
@@ -201,20 +222,20 @@ func (e *Engine) CatchUpFrom(id, donor clock.SiteID) error {
 			break
 		}
 	}
-	var snap siteSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&snap); err != nil {
-		return fmt.Errorf("ordup: decode snapshot: %w", err)
+	nexts, ops, err := decodeSnapshot(blob)
+	if err != nil {
+		return err
 	}
 	// One synthetic install MSet per ordering shard: each carries the
 	// ops of that shard's objects and jumps that shard's cursor past the
 	// donor's applied prefix.  Shards the donor never applied anything
 	// in have nothing to install.
-	for sh, next := range snap.Nexts {
+	for sh, next := range nexts {
 		if next <= 1 {
 			continue
 		}
 		var shardOps []op.Op
-		for _, o := range snap.Ops {
+		for _, o := range ops {
 			if e.c.ShardOfObject(o.Object) == sh {
 				shardOps = append(shardOps, o)
 			}
@@ -231,7 +252,8 @@ func (e *Engine) CatchUpFrom(id, donor clock.SiteID) error {
 		if err != nil {
 			return err
 		}
-		if err := s.Receive(queue.Message{ID: m.MsgID(), Payload: payload}); err != nil {
+		msg := queue.Message{ID: m.MsgID(), Payload: payload}
+		if err := s.ReceiveDecodedBatch([]queue.Message{msg}, []et.MSet{m}); err != nil {
 			return fmt.Errorf("ordup: deliver snapshot: %w", err)
 		}
 		e.c.Trace.RecordSpan(trace.CatchUp, int(id), m.ET.String(), m.MsgID(), start,

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -240,6 +241,26 @@ func TestRestartResolvesAbandonedReservation(t *testing.T) {
 	waitConverged(t, e, e.Cluster().SiteIDs(), "x", op.NumValue(2))
 	if ok, obj := e.Cluster().Converged(); !ok {
 		t.Errorf("stores diverge on %q", obj)
+	}
+}
+
+// TestSnapshotCodec round-trips a catch-up snapshot blob and requires
+// every truncation of it to fail to decode.
+func TestSnapshotCodec(t *testing.T) {
+	nexts := []uint64{1, 300, 1 << 40}
+	ops := []op.Op{op.WriteOp("x", 7), op.AppendOp("log", "a")}
+	blob, err := encodeSnapshot(nexts, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotNexts, gotOps, err := decodeSnapshot(blob)
+	if err != nil || !reflect.DeepEqual(gotNexts, nexts) || !reflect.DeepEqual(gotOps, ops) {
+		t.Fatalf("decodeSnapshot = %v, %v, %v; want %v, %v", gotNexts, gotOps, err, nexts, ops)
+	}
+	for i := range blob {
+		if _, _, err := decodeSnapshot(blob[:i]); err == nil {
+			t.Errorf("snapshot truncated to %d of %d bytes decoded", i, len(blob))
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package queue
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -254,6 +256,50 @@ func TestReplayDistinguishesTornTailFromCorruption(t *testing.T) {
 			t.Errorf("corruption offset = %d, want %d", ce.Offset, st.Size())
 		}
 	})
+}
+
+// TestGobEraJournalRejected writes a journal in the retired gob record
+// layout and requires Open to refuse it as corrupt rather than recover
+// an empty (or misread) queue from it.
+func TestGobEraJournalRejected(t *testing.T) {
+	type gobRecord struct { // the retired layout's field set
+		Ack  bool
+		Msg  Message
+		Seen []uint64
+	}
+	var bodies [][]byte
+	for _, r := range []gobRecord{
+		{Msg: Message{ID: 1, Payload: []byte("first")}},
+		{Msg: Message{ID: 2, Payload: []byte("second")}},
+		{Ack: true, Msg: Message{ID: 1}},
+	} {
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(r); err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, b.Bytes())
+	}
+	path := filepath.Join(t.TempDir(), "gob.journal")
+	l, err := OpenLog(path, 0, func([]byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(true, bodies...); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	q, err := Open(path)
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		if q != nil {
+			t.Errorf("recovered %d messages", q.Len())
+			q.Close()
+		}
+		t.Fatalf("gob-era journal: Open err %v, want *CorruptError", err)
+	}
+	if ce.Offset != 0 {
+		t.Errorf("corruption offset = %d, want 0 (first record)", ce.Offset)
+	}
 }
 
 // TestCompactionKeepsConcurrentEnqueues races enqueues against the

@@ -1,9 +1,7 @@
 package queue
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -15,9 +13,9 @@ import (
 )
 
 // FuzzJournalRecovery feeds arbitrary bytes to the journal reader every
-// journal shares, under both kinds of record body: the queue's gob
-// records and a fixed 16-byte binary record (the intent and sequencer
-// state journals' kind).  Opening must never panic, and must either
+// journal shares, under both kinds of record body: the queue's binary
+// records and a fixed 16-byte record (the intent and sequencer state
+// journals' kind).  Opening must never panic, and must either
 // recover (keeping any intact record prefix, truncating a torn tail) or
 // reject the file with a diagnosable *CorruptError — never any other
 // failure.  A recovered journal must accept appends that survive a
@@ -87,7 +85,7 @@ func FuzzJournalRecovery(f *testing.F) {
 	f.Add(compact)
 	f.Add(compact[:len(compact)/2])
 
-	// The other journals on the same log: a write-ahead log of gob MSets
+	// The other journals on the same log: a write-ahead log of MSets
 	// and a reservation-intent journal of 16-byte records.
 	writeLog := func(name string, bodies ...[]byte) []byte {
 		path := filepath.Join(dir, name)
@@ -107,12 +105,12 @@ func FuzzJournalRecovery(f *testing.F) {
 	}
 	var msets [][]byte
 	for i := uint64(1); i <= 3; i++ {
-		var body bytes.Buffer
 		m := et.MSet{ET: et.MakeID(1, i), Origin: 1, Ops: []op.Op{op.IncOp("x", 1)}}
-		if err := gob.NewEncoder(&body).Encode(m); err != nil {
+		body, err := m.Encode()
+		if err != nil {
 			f.Fatal(err)
 		}
-		msets = append(msets, body.Bytes())
+		msets = append(msets, body)
 	}
 	walJournal := writeLog("wal.journal", msets...)
 	f.Add(walJournal)

@@ -32,8 +32,7 @@
 package queue
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -49,7 +48,7 @@ import (
 type Message struct {
 	// ID uniquely identifies the message within its queue.
 	ID uint64
-	// Payload is the opaque message body (typically a gob-encoded MSet).
+	// Payload is the opaque message body (typically an encoded et.MSet).
 	Payload []byte
 }
 
@@ -315,14 +314,35 @@ func removeIDs(items []Message, ids []uint64) []Message {
 	return out
 }
 
-// record is one journal entry.
-type record struct {
-	Ack bool
-	Msg Message // Msg.ID only for acks
-	// Seen carries the retained dedup horizon across a compaction: the
-	// IDs of recently acknowledged messages that must stay suppressed
-	// even though their enqueue records were compacted away.
-	Seen []uint64
+// Journal record kinds, the first byte of every queue record body.  They
+// lie in 0x80..0xF7, where no gob stream can begin, so a journal in the
+// retired gob layout fails replay at its first record.
+const (
+	// recEnqueue: uvarint message ID, then the payload to the record's end.
+	recEnqueue = 0x91
+	// recAck: uvarint message ID.
+	recAck = 0x92
+	// recSeen carries the retained dedup horizon across a compaction:
+	// uvarint IDs, to the record's end, of recently acknowledged messages
+	// that must stay suppressed even though their enqueue records were
+	// compacted away.
+	recSeen = 0x93
+)
+
+// enqueueRecord, ackRecord and seenRecord build one record body each.
+func enqueueRecord(m Message) []byte {
+	b := append(make([]byte, 0, 1+binary.MaxVarintLen64+len(m.Payload)), recEnqueue)
+	return append(binary.AppendUvarint(b, m.ID), m.Payload...)
+}
+
+func ackRecord(id uint64) []byte { return binary.AppendUvarint([]byte{recAck}, id) }
+
+func seenRecord(ids []uint64) []byte {
+	b := []byte{recSeen}
+	for _, id := range ids {
+		b = binary.AppendUvarint(b, id)
+	}
+	return b
 }
 
 // Options tunes a File queue.  The zero value gives sensible defaults.
@@ -352,10 +372,10 @@ const (
 )
 
 // File is a journal-backed Queue.  Every Enqueue and Ack is appended to
-// the journal, a Log of gob records, and fsynced before returning; Open
-// replays the journal to rebuild in-memory state, so a crash (simulated
-// by Close or by simply abandoning the handle) loses nothing that was
-// acknowledged to the caller.  Recovery follows the Log's rule: a torn
+// the journal, a Log of binary records (see recEnqueue), and fsynced
+// before returning; Open replays the journal to rebuild in-memory state,
+// so a crash (simulated by Close or by simply abandoning the handle)
+// loses nothing that was acknowledged to the caller.  Recovery follows the Log's rule: a torn
 // final record is truncated away, damage anywhere else surfaces as a
 // *CorruptError.
 //
@@ -411,45 +431,48 @@ func (q *File) SetMetrics(m Metrics) {
 	q.memState.SetMetrics(m)
 }
 
-// replay applies one journal record to the in-memory state.
+// replay applies one journal record to the in-memory state.  Every
+// record must parse to its last byte.
 func (q *File) replay(body []byte) error {
-	var r record
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&r); err != nil {
-		return err
+	if len(body) == 0 {
+		return errors.New("empty record")
 	}
-	q.records++
+	kind, rest := body[0], body[1:]
+	var ids []uint64 // one ID; a horizon record's run to the record's end
+	for len(ids) == 0 || (kind == recSeen && len(rest) > 0) {
+		id, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return errors.New("bad message ID")
+		}
+		ids, rest = append(ids, id), rest[n:]
+	}
+	id := ids[0]
 	switch {
-	case len(r.Seen) > 0:
-		for _, id := range r.Seen {
+	case kind == recEnqueue:
+		if !q.seen[id] {
+			q.seen[id] = true
+			q.items = append(q.items, Message{ID: id, Payload: rest})
+		}
+	case kind == recAck && len(rest) == 0:
+		for i, m := range q.items {
+			if m.ID == id {
+				q.items = append(q.items[:i], q.items[i+1:]...)
+				q.acked = append(q.acked, id)
+				break
+			}
+		}
+	case kind == recSeen:
+		for _, id := range ids {
 			if !q.seen[id] {
 				q.seen[id] = true
 				q.acked = append(q.acked, id)
 			}
 		}
-	case r.Ack:
-		for i, m := range q.items {
-			if m.ID == r.Msg.ID {
-				q.items = append(q.items[:i], q.items[i+1:]...)
-				q.acked = append(q.acked, r.Msg.ID)
-				break
-			}
-		}
 	default:
-		if !q.seen[r.Msg.ID] {
-			q.seen[r.Msg.ID] = true
-			q.items = append(q.items, r.Msg)
-		}
+		return fmt.Errorf("malformed record of kind %#x", kind)
 	}
+	q.records++
 	return nil
-}
-
-// encodeRecord returns one record's gob body.
-func encodeRecord(r record) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(r); err != nil {
-		return nil, fmt.Errorf("queue: encode journal record: %w", err)
-	}
-	return body.Bytes(), nil
 }
 
 // Syncs implements Syncer.  When the queue is instrumented this is a
@@ -478,14 +501,9 @@ func (q *File) EnqueueBatch(msgs []Message) error {
 		if q.seen[m.ID] {
 			continue
 		}
-		body, err := encodeRecord(record{Msg: m})
-		if err != nil {
-			q.mu.Unlock()
-			return err
-		}
 		q.seen[m.ID] = true
 		fresh = append(fresh, m)
-		bodies = append(bodies, body)
+		bodies = append(bodies, enqueueRecord(m))
 		if q.enqueuedAt != nil {
 			q.enqueuedAt[m.ID] = now
 		}
@@ -532,12 +550,7 @@ func (q *File) AckBatch(ids []uint64) error {
 		if !present[id] {
 			continue
 		}
-		body, err := encodeRecord(record{Ack: true, Msg: Message{ID: id}})
-		if err != nil {
-			q.mu.Unlock()
-			return err
-		}
-		bodies = append(bodies, body)
+		bodies = append(bodies, ackRecord(id))
 		found = append(found, id)
 	}
 	if len(found) == 0 {
@@ -588,10 +601,7 @@ func (q *File) maybeCompact() {
 		if q.enqueuing > 0 || !q.compactNeededLocked() {
 			return nil, false
 		}
-		bodies, err := q.liveRecordsLocked()
-		if err != nil {
-			return nil, false
-		}
+		bodies := q.liveRecordsLocked()
 		dropped = q.records - len(bodies)
 		return bodies, true
 	})
@@ -611,7 +621,7 @@ func (q *File) compactNeededLocked() bool {
 
 // liveRecordsLocked prunes the dedup horizon to the retention window and
 // encodes the live state compaction writes.  Callers hold q.mu.
-func (q *File) liveRecordsLocked() ([][]byte, error) {
+func (q *File) liveRecordsLocked() [][]byte {
 	// Acked IDs beyond the retention window stop being remembered.  Live
 	// messages always stay in seen via their rewritten enqueue records.
 	if over := len(q.acked) - q.opts.SeenRetention; over > 0 {
@@ -620,22 +630,14 @@ func (q *File) liveRecordsLocked() ([][]byte, error) {
 		}
 		q.acked = append([]uint64(nil), q.acked[over:]...)
 	}
-	var bodies [][]byte
+	bodies := make([][]byte, 0, 1+len(q.items))
 	if len(q.acked) > 0 {
-		body, err := encodeRecord(record{Seen: append([]uint64(nil), q.acked...)})
-		if err != nil {
-			return nil, err
-		}
-		bodies = append(bodies, body)
+		bodies = append(bodies, seenRecord(q.acked))
 	}
 	for _, m := range q.items {
-		body, err := encodeRecord(record{Msg: m})
-		if err != nil {
-			return nil, err
-		}
-		bodies = append(bodies, body)
+		bodies = append(bodies, enqueueRecord(m))
 	}
-	return bodies, nil
+	return bodies
 }
 
 // Delivery pumps messages from a stable queue through an unreliable send

@@ -17,10 +17,10 @@ func TestReceiveBatchAppliesAll(t *testing.T) {
 		applied.Add(1)
 		return nil
 	})
-	var msgs []queue.Message
+	var msgs [][]byte
 	for i := uint64(1); i <= 5; i++ {
 		m := et.MSet{ET: et.MakeID(2, i), Origin: 2, Ops: []op.Op{op.IncOp("x", 1)}}
-		msgs = append(msgs, queue.Message{ID: i, Payload: encode(t, m)})
+		msgs = append(msgs, encode(t, m))
 	}
 	if err := s.ReceiveBatch(msgs); err != nil {
 		t.Fatalf("ReceiveBatch: %v", err)
@@ -46,10 +46,7 @@ func TestReceiveBatchRejectsMalformedFrameWhole(t *testing.T) {
 	var applied atomic.Int32
 	s := newTestSite(t, func(m et.MSet) error { applied.Add(1); return nil })
 	good := et.MSet{ET: et.MakeID(2, 1), Origin: 2, Ops: []op.Op{op.IncOp("x", 1)}}
-	err := s.ReceiveBatch([]queue.Message{
-		{ID: 1, Payload: encode(t, good)},
-		{ID: 2, Payload: []byte("garbage")},
-	})
+	err := s.ReceiveBatch([][]byte{encode(t, good), []byte("garbage")})
 	if err == nil {
 		t.Fatal("malformed frame must be rejected")
 	}
@@ -65,10 +62,10 @@ func TestReceiveBatchSingleJournalSync(t *testing.T) {
 	}
 	s := NewSite(1, q, lock.ORDUP)
 	s.SetApply(func(m et.MSet) error { return nil })
-	var msgs []queue.Message
+	var msgs [][]byte
 	for i := uint64(1); i <= 16; i++ {
 		m := et.MSet{ET: et.MakeID(2, i), Origin: 2, Ops: []op.Op{op.IncOp("x", 1)}}
-		msgs = append(msgs, queue.Message{ID: i, Payload: encode(t, m)})
+		msgs = append(msgs, encode(t, m))
 	}
 	if err := s.ReceiveBatch(msgs); err != nil {
 		t.Fatal(err)
@@ -91,7 +88,7 @@ func TestSeenRetentionBoundsDedupMemory(t *testing.T) {
 	s.SetSeenRetention(8)
 	for i := uint64(1); i <= 100; i++ {
 		m := et.MSet{ET: et.MakeID(2, i), Origin: 2, Ops: []op.Op{op.IncOp("x", 1)}}
-		if err := s.Receive(queue.Message{ID: i, Payload: encode(t, m)}); err != nil {
+		if err := s.Receive(encode(t, m)); err != nil {
 			t.Fatal(err)
 		}
 	}

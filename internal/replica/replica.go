@@ -258,48 +258,35 @@ func (s *Site) Stop() {
 	s.wg.Wait()
 }
 
-// Receive accepts an MSet message into the inbound stable queue.  It is
+// Receive accepts one encoded MSet into the inbound stable queue.  It is
 // the site's network handler: idempotent under redelivery, and it wakes
-// the processor.  The payload must be an encoded et.MSet.
-func (s *Site) Receive(msg queue.Message) error {
-	m, err := et.DecodeMSet(msg.Payload)
-	if err != nil {
-		return fmt.Errorf("site %v: reject malformed mset: %w", s.ID, err)
-	}
-	sh := s.shardOf(msg.ID)
-	if err := s.ins[sh].Enqueue(msg); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.indexLocked(msg, m, sh)
-	s.mu.Unlock()
-	s.kickShard(sh)
-	return nil
-}
+// the processor.
+func (s *Site) Receive(payload []byte) error { return s.ReceiveBatch([][]byte{payload}) }
 
-// ReceiveBatch accepts a whole frame of MSet messages: one batch append
+// ReceiveBatch accepts a whole frame of encoded MSets: one batch append
 // into the stable queue (a single fsync on journal-backed queues) and
 // one processor wake for the lot.  It is the site's batch network
-// handler.  A malformed payload rejects the frame before anything is
-// enqueued, so the sender's retry re-offers the entire batch.
-func (s *Site) ReceiveBatch(msgs []queue.Message) error {
-	if len(msgs) == 0 {
-		return nil
-	}
-	decoded := make([]et.MSet, len(msgs))
-	for i, msg := range msgs {
-		m, err := et.DecodeMSet(msg.Payload)
+// handler.  Each payload is decoded exactly once, and its message ID is
+// derived from the MSet (et.MSet.MsgID), so redelivery dedups.  A
+// malformed payload rejects the frame before anything is enqueued, so
+// the sender's retry re-offers the entire batch.
+func (s *Site) ReceiveBatch(payloads [][]byte) error {
+	msgs := make([]queue.Message, len(payloads))
+	decoded := make([]et.MSet, len(payloads))
+	for i, p := range payloads {
+		m, err := et.DecodeMSet(p)
 		if err != nil {
-			return fmt.Errorf("site %v: reject malformed mset in batch: %w", s.ID, err)
+			return fmt.Errorf("site %v: reject malformed mset: %w", s.ID, err)
 		}
+		msgs[i] = queue.Message{ID: m.MsgID(), Payload: p}
 		decoded[i] = m
 	}
 	return s.ReceiveDecodedBatch(msgs, decoded)
 }
 
-// ReceiveDecodedBatch is ReceiveBatch for callers that already decoded
-// the payloads (the cluster's network handler derives message IDs from
-// the decoded MSets); decoded[i] must correspond to msgs[i].
+// ReceiveDecodedBatch is ReceiveBatch for callers that already hold the
+// decoded MSets (an origin delivering its own broadcast, a recovery
+// redelivering a journal); decoded[i] must correspond to msgs[i].
 func (s *Site) ReceiveDecodedBatch(msgs []queue.Message, decoded []et.MSet) error {
 	if len(msgs) != len(decoded) {
 		return fmt.Errorf("site %v: batch length mismatch: %d msgs, %d msets", s.ID, len(msgs), len(decoded))

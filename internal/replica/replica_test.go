@@ -53,7 +53,7 @@ func TestReceiveAndApply(t *testing.T) {
 		return nil
 	})
 	m := et.MSet{ET: et.MakeID(2, 1), Origin: 2, Ops: []op.Op{op.IncOp("x", 1)}}
-	if err := s.Receive(queue.Message{ID: 1, Payload: encode(t, m)}); err != nil {
+	if err := s.Receive(encode(t, m)); err != nil {
 		t.Fatalf("Receive: %v", err)
 	}
 	waitFor(t, "apply", func() bool { return applied.Load() == 1 })
@@ -68,7 +68,7 @@ func TestReceiveAndApply(t *testing.T) {
 
 func TestReceiveRejectsGarbage(t *testing.T) {
 	s := newTestSite(t, func(et.MSet) error { return nil })
-	if err := s.Receive(queue.Message{ID: 9, Payload: []byte("junk")}); err == nil {
+	if err := s.Receive([]byte("junk")); err == nil {
 		t.Errorf("malformed payload must be rejected")
 	}
 }
@@ -79,7 +79,7 @@ func TestReceiveDeduplicates(t *testing.T) {
 	m := et.MSet{ET: et.MakeID(2, 1), Origin: 2, Ops: []op.Op{op.IncOp("x", 1)}}
 	payload := encode(t, m)
 	for i := 0; i < 5; i++ {
-		if err := s.Receive(queue.Message{ID: 7, Payload: payload}); err != nil {
+		if err := s.Receive(payload); err != nil {
 			t.Fatalf("Receive: %v", err)
 		}
 	}
@@ -104,7 +104,7 @@ func TestHoldBackRetriesUntilEligible(t *testing.T) {
 		return nil
 	})
 	m := et.MSet{ET: et.MakeID(2, 1), Origin: 2, Ops: []op.Op{op.IncOp("x", 1)}}
-	s.Receive(queue.Message{ID: 1, Payload: encode(t, m)})
+	s.Receive(encode(t, m))
 	time.Sleep(3 * time.Millisecond)
 	if applied.Load() != 0 {
 		t.Fatalf("held MSet applied prematurely")
@@ -142,9 +142,9 @@ func TestOutOfOrderMSetsBothApply(t *testing.T) {
 	})
 	m2 := et.MSet{ET: et.MakeID(2, 2), Origin: 2, Seq: 2, Ops: []op.Op{op.IncOp("x", 1)}}
 	m1 := et.MSet{ET: et.MakeID(2, 1), Origin: 2, Seq: 1, Ops: []op.Op{op.IncOp("x", 1)}}
-	s.Receive(queue.Message{ID: 2, Payload: encode(t, m2)}) // arrives first
+	s.Receive(encode(t, m2)) // arrives first
 	time.Sleep(2 * time.Millisecond)
-	s.Receive(queue.Message{ID: 1, Payload: encode(t, m1)})
+	s.Receive(encode(t, m1))
 	waitFor(t, "both applied in order", func() bool { return applied.Load() == 2 })
 }
 
@@ -160,7 +160,7 @@ func TestApplyErrorRetries(t *testing.T) {
 		return nil
 	})
 	m := et.MSet{ET: et.MakeID(2, 1), Origin: 2, Ops: []op.Op{op.IncOp("x", 1)}}
-	s.Receive(queue.Message{ID: 1, Payload: encode(t, m)})
+	s.Receive(encode(t, m))
 	waitFor(t, "apply after errors", func() bool { return applied.Load() == 1 })
 	if st := s.Stats(); st.Errors < 3 {
 		t.Errorf("Errors = %d, want >= 3", st.Errors)
@@ -176,7 +176,7 @@ func TestWaitDrained(t *testing.T) {
 		return nil
 	})
 	m := et.MSet{ET: et.MakeID(2, 1), Origin: 2, Ops: []op.Op{op.IncOp("x", 1)}}
-	s.Receive(queue.Message{ID: 1, Payload: encode(t, m)})
+	s.Receive(encode(t, m))
 	if err := s.WaitDrained("x", 10*time.Millisecond); err == nil {
 		t.Errorf("WaitDrained should time out while held")
 	}
@@ -202,7 +202,7 @@ func TestPendingCountsDistinctUpdateObjects(t *testing.T) {
 	m := et.MSet{ET: et.MakeID(2, 1), Origin: 2, Ops: []op.Op{
 		op.IncOp("x", 1), op.IncOp("x", 2), op.IncOp("y", 1), op.ReadOp("z"),
 	}}
-	s.Receive(queue.Message{ID: 1, Payload: encode(t, m)})
+	s.Receive(encode(t, m))
 	if s.Pending("x") != 1 {
 		t.Errorf("Pending(x) = %d, want 1 (distinct ET count, not op count)", s.Pending("x"))
 	}
@@ -220,7 +220,7 @@ func TestPendingCountsDistinctUpdateObjects(t *testing.T) {
 func TestClockObservesIncomingTimestamps(t *testing.T) {
 	s := newTestSite(t, func(et.MSet) error { return nil })
 	m := et.MSet{ET: et.MakeID(2, 1), Origin: 2, TS: clock.Timestamp{Time: 500, Site: 2}, Ops: []op.Op{op.IncOp("x", 1)}}
-	s.Receive(queue.Message{ID: 1, Payload: encode(t, m)})
+	s.Receive(encode(t, m))
 	if now := s.Clock.Now(); now.Time < 500 {
 		t.Errorf("site clock %v did not observe incoming TS 500", now)
 	}
@@ -257,7 +257,7 @@ func TestJournalRecoveryReappliesAfterRestart(t *testing.T) {
 	s1.SetApply(func(et.MSet) error { return ErrHold }) // never applies
 	s1.Start()
 	m := et.MSet{ET: et.MakeID(2, 1), Origin: 2, Ops: []op.Op{op.IncOp("x", 7)}}
-	if err := s1.Receive(queue.Message{ID: 1, Payload: encode(t, m)}); err != nil {
+	if err := s1.Receive(encode(t, m)); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(2 * time.Millisecond)
@@ -300,7 +300,7 @@ func TestOnAppliedFollowsBookkeeping(t *testing.T) {
 	s.Start()
 	defer s.Stop()
 	m := et.MSet{ET: et.MakeID(2, 1), Origin: 2, TS: clock.Timestamp{Time: 9, Site: 2}, Ops: []op.Op{op.IncOp("x", 1)}}
-	if err := s.Receive(queue.Message{ID: 1, Payload: encode(t, m)}); err != nil {
+	if err := s.Receive(encode(t, m)); err != nil {
 		t.Fatalf("Receive: %v", err)
 	}
 	waitFor(t, "OnApplied", told.Load)

@@ -6,18 +6,15 @@
 // failures by encapsulating it in the local message processing, which
 // assumes each site is capable of maintaining local consistency" (§2.2).
 // This package is that local capability: every applied MSet is appended
-// (one gob record on the shared queue.Log, fsynced) before the apply is
-// acknowledged, and on restart RebuildVersioned rebuilds the site's
-// store by re-applying the log.  Together with the journal-backed
+// (one record on the shared queue.Log holding the MSet's et encoding,
+// fsynced) before the apply is acknowledged, and on restart
+// RebuildVersioned rebuilds the site's store by re-applying the log.  Together with the journal-backed
 // inbound queues of internal/queue, a crashed site recovers to exactly
 // its pre-crash state and resumes draining its queue.
 package wal
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"sync"
 	"time"
 
 	"esr/internal/et"
@@ -49,8 +46,8 @@ type WAL struct {
 func Open(path string) (*WAL, []et.MSet, error) {
 	var records []et.MSet
 	l, err := queue.OpenLog(path, 0, func(body []byte) error {
-		var m et.MSet
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&m); err != nil {
+		m, err := et.DecodeMSet(body)
+		if err != nil {
 			return err
 		}
 		records = append(records, m)
@@ -97,11 +94,6 @@ func (w *WAL) Append(m et.MSet) error {
 	return w.AppendBatch([]et.MSet{m})
 }
 
-// encBufPool recycles the encode buffers AppendBatch burns through.
-// Staging copies the encoded bytes into the log, so a buffer never
-// outlives its AppendBatch call and reuse is safe.
-var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // AppendBatch durably records a batch of applied MSets with a single
 // write and a single fsync.  Concurrent callers coalesce further: all
 // batches staged while one flush is in flight share the next fsync.
@@ -110,19 +102,13 @@ func (w *WAL) AppendBatch(ms []et.MSet) error {
 		return nil
 	}
 	t0 := time.Now()
-	buf := encBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer encBufPool.Put(buf)
 	bodies := make([][]byte, len(ms))
 	for i, m := range ms {
-		// One encoder per record keeps every record self-describing, so
-		// replay can decode any record on its own.  A body slices buf as
-		// it stands; growing buf later leaves those bytes intact.
-		start := buf.Len()
-		if err := gob.NewEncoder(buf).Encode(m); err != nil {
+		body, err := m.Encode()
+		if err != nil {
 			return fmt.Errorf("wal: encode: %w", err)
 		}
-		bodies[i] = buf.Bytes()[start:]
+		bodies[i] = body
 	}
 	if err := w.log.Append(true, bodies...); err != nil {
 		return fmt.Errorf("wal: append: %w", err)

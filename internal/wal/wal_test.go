@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -129,6 +131,29 @@ func TestTornTailTruncated(t *testing.T) {
 				t.Fatalf("Append after recovery: %v", err)
 			}
 		})
+	}
+}
+
+// TestGobEraLogRejected writes a log in the retired gob record layout
+// and requires Open to refuse it as corrupt rather than replay nothing.
+func TestGobEraLogRejected(t *testing.T) {
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(mset(1, op.IncOp("x", 1))); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "site.wal")
+	l, err := queue.OpenLog(path, 0, func([]byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(true, body.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	_, recovered, err := Open(path)
+	var ce *queue.CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("gob-era log: Open = %d records, err %v; want *queue.CorruptError", len(recovered), err)
 	}
 }
 
