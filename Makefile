@@ -66,14 +66,15 @@ smoke-node:
 smoke-chaos:
 	CHAOS=1 bash scripts/smoke_node.sh
 
-# Short fuzz bursts over the history parser and checkers, the MSet codec
-# and the journal recovery every journal shares; the corpus seeds also
-# run as plain tests under `make test`.
+# Short fuzz bursts over the history parser and checkers, the MSet codec,
+# the journal recovery every journal shares and the TCP frame decoder;
+# the corpus seeds also run as plain tests under `make test`.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/history/ -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/et/ -run=^$$ -fuzz=FuzzMSetCodec -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/queue/ -run=^$$ -fuzz=FuzzJournalRecovery -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/network/ -run=^$$ -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME)
 
 clean:
 	$(GO) clean ./...

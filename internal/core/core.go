@@ -308,10 +308,10 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.met = newClusterMetrics(cfg.Metrics, cfg.Method, cfg.Sites)
 	c.Net.SetMetrics(c.met.networkMetrics())
-	// A traced transport carries each frame's (origin, MSet, causal
-	// stamp) across the wire and merges inbound stamps into the ring, so
-	// cross-process timelines order causally.  No-op on plain transports.
-	network.SetTrace(c.Net, c.Trace)
+	// The transport records frame-level spans and, across processes,
+	// carries each frame's causal stamp and merges inbound stamps into
+	// the ring, so cross-process timelines order causally.
+	c.Net.SetTrace(c.Trace)
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o700); err != nil {
 			return nil, fmt.Errorf("core: create queue dir: %w", err)
@@ -348,7 +348,6 @@ func New(cfg Config) (*Cluster, error) {
 	// group-commit window.  Origins are the local sites only;
 	// destinations are every site in the cluster, local or not — remote
 	// destinations are reached through the transport's peer addressing.
-	traced := c.Trace != nil
 	for from := range c.sites {
 		c.out[from] = make(map[clock.SiteID][]*link)
 		for i := 1; i <= cfg.Sites; i++ {
@@ -362,50 +361,27 @@ func New(cfg Config) (*Cluster, error) {
 				if err != nil {
 					return nil, err
 				}
-				from, to, s := from, to, s
 				if iq, ok := q.(queue.Instrumentable); ok {
 					iq.SetMetrics(c.met.queueMetrics(from, "out-"+siteLabel(to), s))
 				}
-				d := queue.NewDelivery(q, func(m queue.Message) error {
-					if !traced {
-						return c.Net.Send(from, to, m.Payload)
-					}
-					return network.SendCtx(c.Net, from, to, m.Payload,
-						network.TraceContext{Origin: from, MSet: m.ID, Shard: s})
-				}, retryBackoff, retryMax)
-				d.SetMetrics(c.met.deliveryMetrics(from, to))
-				d.SetTrace(c.Trace, int(from), int(to))
-				d.SetWindow(cfg.DeliveryWindow)
-				d.SetBatchSend(func(ms []queue.Message) error {
+				d := queue.NewDelivery(q, func(ms []queue.Message) error {
 					// Frame slices are pooled: SendBatch is synchronous and
 					// the receiver keeps only the payload byte slices, never
 					// the frame itself.
 					fp := framePool.Get().(*[][]byte)
 					payloads := (*fp)[:0]
-					var ids []uint64
-					if traced {
-						ids = make([]uint64, 0, len(ms))
-					}
 					for _, m := range ms {
 						payloads = append(payloads, m.Payload)
-						if traced {
-							ids = append(ids, m.ID)
-						}
 					}
-					var err error
-					if traced {
-						err = network.SendBatchCtx(c.Net, from, to, payloads, ids,
-							network.TraceContext{Origin: from, Shard: s})
-					} else {
-						err = c.Net.SendBatch(from, to, payloads)
-					}
-					for i := range payloads {
-						payloads[i] = nil // don't pin payloads via the pool
-					}
+					err := c.Net.SendBatch(from, to, payloads)
+					clear(payloads) // don't pin payloads via the pool
 					*fp = payloads
 					framePool.Put(fp)
 					return err
-				})
+				}, retryBackoff, retryMax)
+				d.SetMetrics(c.met.deliveryMetrics(from, to))
+				d.SetTrace(c.Trace, int(from), int(to))
+				d.SetWindow(cfg.DeliveryWindow)
 				ls[s] = &link{q: q, d: d}
 			}
 			c.out[from][to] = ls
@@ -484,12 +460,9 @@ func (c *Cluster) registerSequencer() {
 	})
 }
 
-// registerHandlers installs the site's single-message and batch-frame
-// network handlers (also used when a crashed site restarts).
+// registerHandlers installs the site's frame handler (also used when a
+// crashed site restarts).
 func (c *Cluster) registerHandlers(id clock.SiteID, site *replica.Site) {
-	c.Net.Register(id, func(from clock.SiteID, payload []byte) ([]byte, error) {
-		return nil, site.Receive(payload)
-	})
 	c.Net.RegisterBatch(id, func(from clock.SiteID, payloads [][]byte) error {
 		return site.ReceiveBatch(payloads)
 	})
@@ -809,80 +782,54 @@ func (c *Cluster) legacyReserve(from clock.SiteID, shard int, n uint64) (uint64,
 // across retries.
 func msgIDFor(m et.MSet) uint64 { return m.MsgID() }
 
-// Broadcast propagates an update MSet to every site.  The origin's copy
-// is delivered directly (no network); remote copies are enqueued on the
-// per-destination outbound stable queues, whose delivery agents push them
-// asynchronously.  Broadcast returns once every copy is durably queued —
-// this is the asynchronous methods' commit point.
-func (c *Cluster) Broadcast(m et.MSet) error {
-	payload, err := m.Encode()
-	if err != nil {
-		return err
-	}
-	msg := queue.Message{ID: msgIDFor(m), Payload: payload}
-	origin := c.Site(m.Origin)
-	if origin == nil {
-		return fmt.Errorf("core: unknown origin site %v", m.Origin)
-	}
-	c.Trace.RecordMSetf(trace.Commit, int(m.Origin), m.ET.String(), msg.ID,
-		"ops=%d comp=%v", len(m.Ops), m.Compensation)
-	c.SiteMetrics(m.Origin).Commits.Inc()
-	c.Lag().Commit(msg.ID)
-	if err := origin.ReceiveDecodedBatch([]queue.Message{msg}, []et.MSet{m}); err != nil {
-		return err
-	}
-	var enqErr error
-	c.forEachShardLink(m.Origin, m.Shard, func(to clock.SiteID, l *link) {
-		if enqErr != nil {
-			return
-		}
-		if err := l.q.Enqueue(msg); err != nil {
-			enqErr = fmt.Errorf("core: enqueue for %v: %w", to, err)
-			return
-		}
-		c.Trace.RecordMSetf(trace.Enqueue, int(m.Origin), m.ET.String(), msg.ID,
-			"to=%v", to)
-		l.d.Kick()
-	})
-	return enqErr
-}
+// Broadcast propagates one update MSet to every site; it is
+// BroadcastAll of a burst of one.
+func (c *Cluster) Broadcast(m et.MSet) error { return c.BroadcastAll([]et.MSet{m}) }
 
-// BroadcastAll propagates a burst of update MSets sharing one origin as
-// a single batch: the origin applies them via one inbound batch append,
-// and every outbound link gets one batched journal record (one fsync on
-// durable clusters) plus one delivery kick — the "one MSet batch per
-// destination per commit burst" propagation the group-commit pipeline
-// exists for.  A burst may mix shards: each MSet is enqueued only on
-// its own shard's links, so the per-shard journals and delivery windows
-// stay independent.  Like Broadcast, it returns once every copy is
-// durably queued, which is the asynchronous commit point for the whole
-// burst.
+// BroadcastAll commits a burst of update MSets sharing one origin and
+// propagates it as a single batch: the origin applies them via one
+// inbound batch append, and every outbound link gets one batched
+// journal record (one fsync on durable clusters) plus one delivery
+// kick — the "one MSet batch per destination per commit burst"
+// propagation the group-commit pipeline exists for.  A burst may mix
+// shards: each MSet is enqueued only on its own shard's links, so the
+// per-shard journals and delivery windows stay independent.  It
+// returns once every copy is durably queued, which is the asynchronous
+// commit point for the whole burst.
 func (c *Cluster) BroadcastAll(msets []et.MSet) error {
 	if len(msets) == 0 {
 		return nil
 	}
-	if len(msets) == 1 {
-		return c.Broadcast(msets[0])
+	msgs, err := encodeMSets(msets)
+	if err != nil {
+		return err
 	}
-	originID := msets[0].Origin
+	return c.commit(msgs, msets)
+}
+
+// encodeMSets pairs each MSet with its queue message: the encoded
+// MSet under its message identity.
+func encodeMSets(msets []et.MSet) ([]queue.Message, error) {
 	msgs := make([]queue.Message, len(msets))
-	byShard := make([][]queue.Message, c.shards)
-	byShardM := make([][]et.MSet, c.shards)
 	for i, m := range msets {
+		payload, err := m.Encode()
+		if err != nil {
+			return nil, err
+		}
+		msgs[i] = queue.Message{ID: msgIDFor(m), Payload: payload}
+	}
+	return msgs, nil
+}
+
+// commit records a fresh burst's commit — one trace event per MSet, the
+// origin's Commits counter, the lag clock's start — and propagates it.
+// msgs[i] is msets[i] encoded.
+func (c *Cluster) commit(msgs []queue.Message, msets []et.MSet) error {
+	originID := msets[0].Origin
+	for _, m := range msets {
 		if m.Origin != originID {
 			return fmt.Errorf("core: burst mixes origins %v and %v", originID, m.Origin)
 		}
-		payload, err := m.Encode()
-		if err != nil {
-			return err
-		}
-		msgs[i] = queue.Message{ID: msgIDFor(m), Payload: payload}
-		sh := m.Shard
-		if sh < 0 || sh >= c.shards {
-			return fmt.Errorf("core: burst mset on unknown shard %d (have %d)", sh, c.shards)
-		}
-		byShard[sh] = append(byShard[sh], msgs[i])
-		byShardM[sh] = append(byShardM[sh], m)
 	}
 	origin := c.Site(originID)
 	if origin == nil {
@@ -891,30 +838,65 @@ func (c *Cluster) BroadcastAll(msets []et.MSet) error {
 	sm := c.SiteMetrics(originID)
 	lag := c.Lag()
 	for i, m := range msets {
-		c.Trace.RecordMSetf(trace.Commit, int(originID), m.ET.String(), msgs[i].ID,
-			"ops=%d comp=%v burst=%d", len(m.Ops), m.Compensation, len(msets))
+		if c.Trace != nil {
+			c.Trace.RecordMSetf(trace.Commit, int(originID), m.ET.String(), msgs[i].ID,
+				"ops=%d comp=%v burst=%d", len(m.Ops), m.Compensation, len(msets))
+		}
 		sm.Commits.Inc()
 		lag.Commit(msgs[i].ID)
+	}
+	return c.propagate(origin, msgs, msets)
+}
+
+// propagate hands a batch of MSets from one origin to replication: the
+// origin's site receives them first (its inbound queues and applied
+// index drop what it already holds), then every outbound link of each
+// MSet's shard gets the shard's part as one batched enqueue and a
+// delivery kick.  msgs[i] is msets[i] encoded.  Fresh commits and the
+// recovery re-sends of intent runs and cross-shard bursts all come
+// through here; it takes no cluster lock, so recovery may call it
+// under siteMu.
+func (c *Cluster) propagate(origin *replica.Site, msgs []queue.Message, msets []et.MSet) error {
+	uniform := true
+	for _, m := range msets {
+		if m.Shard < 0 || m.Shard >= c.shards {
+			return fmt.Errorf("core: mset on unknown shard %d (have %d)", m.Shard, c.shards)
+		}
+		uniform = uniform && m.Shard == msets[0].Shard
 	}
 	if err := origin.ReceiveDecodedBatch(msgs, msets); err != nil {
 		return err
 	}
-	for sh, part := range byShard {
-		if len(part) == 0 {
+	for sh := 0; sh < c.shards; sh++ {
+		part, partM := msgs, msets
+		if uniform && sh != msets[0].Shard {
 			continue
 		}
+		if !uniform {
+			part, partM = nil, nil
+			for i, m := range msets {
+				if m.Shard == sh {
+					part, partM = append(part, msgs[i]), append(partM, m)
+				}
+			}
+			if len(part) == 0 {
+				continue
+			}
+		}
 		var enqErr error
-		c.forEachShardLink(originID, sh, func(to clock.SiteID, l *link) {
+		c.forEachShardLink(origin.ID, sh, func(to clock.SiteID, l *link) {
 			if enqErr != nil {
 				return
 			}
 			if err := l.q.EnqueueBatch(part); err != nil {
-				enqErr = fmt.Errorf("core: enqueue burst for %v: %w", to, err)
+				enqErr = fmt.Errorf("core: enqueue for %v: %w", to, err)
 				return
 			}
-			for i, msg := range part {
-				c.Trace.RecordMSetf(trace.Enqueue, int(originID), byShardM[sh][i].ET.String(), msg.ID,
-					"to=%v", to)
+			if c.Trace != nil {
+				for i, msg := range part {
+					c.Trace.RecordMSetf(trace.Enqueue, int(origin.ID), partM[i].ET.String(), msg.ID,
+						"to=%v", to)
+				}
 			}
 			l.d.Kick()
 		})

@@ -158,7 +158,7 @@ func TestQueriesFailAtCrashedSiteNetworkLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Network-level sends to the crashed site fail until restart.
-	if err := c.Net.Send(1, 3, []byte("x")); err == nil {
+	if err := c.Net.SendBatch(1, 3, [][]byte{[]byte("x")}); err == nil {
 		t.Errorf("Send to crashed site should fail")
 	}
 	if err := c.RestartSite(3, nil); err != nil {

@@ -184,31 +184,14 @@ func (c *Cluster) resolveSeqIntents(id clock.SiteID, shard int, site *replica.Si
 		}
 		msets = append(msets, m)
 	}
-	// Re-broadcast the run in sequence order: origin first (its inbound
-	// queue and applied-ID index drop what it already has), then every
-	// outbound link of this shard.  This mirrors BroadcastAll without
-	// touching the siteMu-guarded maps.
-	msgs := make([]queue.Message, len(msets))
-	for i, m := range msets {
-		payload, err := m.Encode()
-		if err != nil {
-			return err
-		}
-		msgs[i] = queue.Message{ID: msgIDFor(m), Payload: payload}
+	// Re-broadcast the run in sequence order through propagate, which
+	// touches none of the siteMu-guarded maps.
+	msgs, err := encodeMSets(msets)
+	if err != nil {
+		return err
 	}
-	if err := site.ReceiveDecodedBatch(msgs, msets); err != nil {
-		return fmt.Errorf("core: redeliver intent run at origin: %w", err)
+	if err := c.propagate(site, msgs, msets); err != nil {
+		return fmt.Errorf("core: redeliver intent run: %w", err)
 	}
-	var enqErr error
-	c.forEachShardLink(id, shard, func(to clock.SiteID, l *link) {
-		if enqErr != nil {
-			return
-		}
-		if err := l.q.EnqueueBatch(msgs); err != nil {
-			enqErr = fmt.Errorf("core: re-enqueue intent run for %v: %w", to, err)
-			return
-		}
-		l.d.Kick()
-	})
-	return enqErr
+	return nil
 }

@@ -211,15 +211,15 @@ func (c *Cluster) Submit(origin clock.SiteID, bursts [][]op.Op, p *Method) ([]et
 			byShard[m.Shard] = append(byShard[m.Shard], m)
 		}
 	}
-	if !cross {
-		err = c.BroadcastAll(msets)
-	} else if err = c.beginCrossShard(origin, msets); err == nil {
-		for sh := 0; sh < shards && err == nil; sh++ {
-			err = c.BroadcastAll(byShard[sh])
-		}
-		if err == nil {
-			err = c.endCrossShard(origin)
-		}
+	msgs, err := encodeMSets(msets)
+	if err == nil && cross {
+		err = c.beginCrossShard(origin, msgs)
+	}
+	if err == nil {
+		err = c.commit(msgs, msets)
+	}
+	if err == nil && cross {
+		err = c.endCrossShard(origin)
 	}
 	if err != nil {
 		return nil, err

@@ -164,23 +164,20 @@ func (xf *xshardFile) takePending() [][]byte {
 
 func (xf *xshardFile) close() { xf.log.Close() }
 
-// beginCrossShard durably records a decided cross-shard burst against
-// its origin before any part of it broadcasts.  In-memory clusters (no
-// Dir) skip the journal — a process crash loses the whole cluster, so
-// there is no partial state to protect.  The caller must serialize
-// begin/end per origin (Submit holds the submit gates across both).
-func (c *Cluster) beginCrossShard(origin clock.SiteID, msets []et.MSet) error {
+// beginCrossShard durably records a decided cross-shard burst (its
+// encoded parts) against its origin before any part of it broadcasts.
+// In-memory clusters (no Dir) skip the journal — a process crash loses
+// the whole cluster, so there is no partial state to protect.  The
+// caller must serialize begin/end per origin (Submit holds the submit
+// gates across both).
+func (c *Cluster) beginCrossShard(origin clock.SiteID, msgs []queue.Message) error {
 	xf := c.xintents[origin]
 	if xf == nil {
 		return nil
 	}
-	parts := make([][]byte, len(msets))
-	for i, m := range msets {
-		p, err := m.Encode()
-		if err != nil {
-			return err
-		}
-		parts[i] = p
+	parts := make([][]byte, len(msgs))
+	for i, msg := range msgs {
+		parts[i] = msg.Payload
 	}
 	if err := xf.begin(parts); err != nil {
 		return err
@@ -227,26 +224,8 @@ func (c *Cluster) resolveXShardIntents(id clock.SiteID, site *replica.Site) erro
 		msets[i] = m
 		msgs[i] = queue.Message{ID: msgIDFor(m), Payload: p}
 	}
-	// Origin first (its inbound queues and dedup drop what survived),
-	// then each part on its shard's links.
-	if err := site.ReceiveDecodedBatch(msgs, msets); err != nil {
-		return fmt.Errorf("core: redeliver cross-shard burst at origin: %w", err)
-	}
-	for i, m := range msets {
-		var enqErr error
-		c.forEachShardLink(id, m.Shard, func(to clock.SiteID, l *link) {
-			if enqErr != nil {
-				return
-			}
-			if err := l.q.Enqueue(msgs[i]); err != nil {
-				enqErr = fmt.Errorf("core: re-enqueue cross-shard part for %v: %w", to, err)
-				return
-			}
-			l.d.Kick()
-		})
-		if enqErr != nil {
-			return enqErr
-		}
+	if err := c.propagate(site, msgs, msets); err != nil {
+		return fmt.Errorf("core: redeliver cross-shard burst: %w", err)
 	}
 	return xf.end()
 }

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"esr/internal/clock"
+	"esr/internal/trace"
 )
 
 // confMesh is one transport deployment under test: view(s) returns the
@@ -132,6 +133,12 @@ func buildTCPMesh(t *testing.T, sites []clock.SiteID) *confMesh {
 	}
 }
 
+// send delivers one message as a frame of one, the way every caller
+// of a Transport sends.
+func send(tr Transport, from, to clock.SiteID, p []byte) error {
+	return tr.SendBatch(from, to, [][]byte{p})
+}
+
 // runConformance runs one behavior against every implementation.
 func runConformance(t *testing.T, sites []clock.SiteID, fn func(t *testing.T, m *confMesh)) {
 	t.Helper()
@@ -154,7 +161,7 @@ func TestConformanceDelivery(t *testing.T) {
 			got.Add(1)
 			return nil, nil
 		})
-		if err := m.view(1).Send(1, 2, []byte("hello")); err != nil {
+		if err := send(m.view(1), 1, 2, []byte("hello")); err != nil {
 			t.Fatalf("Send: %v", err)
 		}
 		if got.Load() != 1 {
@@ -237,7 +244,7 @@ func TestConformanceHandlerErrorFailsDelivery(t *testing.T) {
 		m.view(2).Register(2, func(clock.SiteID, []byte) ([]byte, error) {
 			return nil, errors.New("apply failed")
 		})
-		if err := m.view(1).Send(1, 2, []byte("x")); err == nil {
+		if err := send(m.view(1), 1, 2, []byte("x")); err == nil {
 			t.Fatal("Send with failing handler returned nil, want error")
 		}
 		m.view(2).RegisterBatch(2, func(clock.SiteID, [][]byte) error {
@@ -254,7 +261,7 @@ func TestConformanceHandlerErrorFailsDelivery(t *testing.T) {
 
 func TestConformanceUnknownSite(t *testing.T) {
 	runConformance(t, []clock.SiteID{1, 2}, func(t *testing.T, m *confMesh) {
-		if err := m.view(1).Send(1, 99, []byte("x")); !errors.Is(err, ErrUnknownSite) {
+		if err := send(m.view(1), 1, 99, []byte("x")); !errors.Is(err, ErrUnknownSite) {
 			t.Errorf("Send to unknown site = %v, want ErrUnknownSite", err)
 		}
 		if err := m.view(1).SendBatch(1, 99, [][]byte{[]byte("x")}); !errors.Is(err, ErrUnknownSite) {
@@ -274,20 +281,17 @@ func TestConformancePartitionAndHeal(t *testing.T) {
 			})
 		}
 		m.partition([]clock.SiteID{1}, []clock.SiteID{2, 3})
-		if err := m.view(1).Send(1, 2, nil); !errors.Is(err, ErrPartitioned) {
+		if err := send(m.view(1), 1, 2, nil); !errors.Is(err, ErrPartitioned) {
 			t.Errorf("cross-partition Send = %v, want ErrPartitioned", err)
 		}
-		if err := m.view(2).Send(2, 3, nil); err != nil {
+		if err := send(m.view(2), 2, 3, nil); err != nil {
 			t.Errorf("intra-partition Send = %v, want nil", err)
 		}
-		if m.view(1).Reachable(1, 2) {
-			t.Error("cross-partition sites reported reachable")
-		}
-		if !m.view(2).Reachable(2, 3) {
-			t.Error("intra-partition sites reported unreachable")
+		if err := send(m.view(3), 3, 1, nil); !errors.Is(err, ErrPartitioned) {
+			t.Errorf("cross-partition Send the other way = %v, want ErrPartitioned", err)
 		}
 		m.heal()
-		if err := m.view(1).Send(1, 2, nil); err != nil {
+		if err := send(m.view(1), 1, 2, nil); err != nil {
 			t.Errorf("Send after Heal = %v, want nil", err)
 		}
 	})
@@ -297,14 +301,14 @@ func TestConformanceCrashAndRestart(t *testing.T) {
 	runConformance(t, []clock.SiteID{1, 2}, func(t *testing.T, m *confMesh) {
 		m.view(2).Register(2, func(clock.SiteID, []byte) ([]byte, error) { return nil, nil })
 		m.crash(2)
-		if err := m.view(1).Send(1, 2, nil); !errors.Is(err, ErrSiteDown) {
+		if err := send(m.view(1), 1, 2, nil); !errors.Is(err, ErrSiteDown) {
 			t.Errorf("Send to crashed site = %v, want ErrSiteDown", err)
 		}
-		if m.view(1).Reachable(1, 2) {
-			t.Error("crashed site reported reachable")
+		if err := send(m.view(2), 2, 1, nil); !errors.Is(err, ErrSiteDown) {
+			t.Errorf("Send from crashed site = %v, want ErrSiteDown", err)
 		}
 		m.restart(2)
-		if err := m.view(1).Send(1, 2, nil); err != nil {
+		if err := send(m.view(1), 1, 2, nil); err != nil {
 			t.Errorf("Send after Restart = %v, want nil", err)
 		}
 	})
@@ -322,14 +326,14 @@ func TestConformanceRetryAfterTransientFailure(t *testing.T) {
 			return nil, nil
 		})
 		m.partition([]clock.SiteID{1}, []clock.SiteID{2})
-		if err := m.view(1).Send(1, 2, []byte("m1")); err == nil {
+		if err := send(m.view(1), 1, 2, []byte("m1")); err == nil {
 			t.Fatal("Send across partition succeeded, want error")
 		}
 		if n.Load() != 0 {
 			t.Fatalf("handler ran during the fault")
 		}
 		m.heal()
-		if err := m.view(1).Send(1, 2, []byte("m1")); err != nil {
+		if err := send(m.view(1), 1, 2, []byte("m1")); err != nil {
 			t.Fatalf("retry after heal: %v", err)
 		}
 		if n.Load() != 1 {
@@ -362,7 +366,7 @@ func TestConformanceAtLeastOnceDedup(t *testing.T) {
 		// The sender never saw the first ack (e.g. the connection died
 		// after the handler ran), so it must retry the same message.
 		for i := 0; i < 2; i++ {
-			if err := m.view(1).Send(1, 2, []byte("mset-42")); err != nil {
+			if err := send(m.view(1), 1, 2, []byte("mset-42")); err != nil {
 				t.Fatalf("Send #%d: %v", i+1, err)
 			}
 		}
@@ -398,7 +402,7 @@ func TestConformanceConcurrentSenders(t *testing.T) {
 				to := clock.SiteID((g+1)%4 + 1)
 				tr := m.view(from)
 				for i := 0; i < per; i++ {
-					if err := tr.Send(from, to, []byte{byte(i)}); err != nil {
+					if err := send(tr, from, to, []byte{byte(i)}); err != nil {
 						t.Errorf("Send %v->%v: %v", from, to, err)
 						return
 					}
@@ -452,7 +456,7 @@ func TestConformanceCloseFailsFurtherSends(t *testing.T) {
 		if err := tr.Close(); err != nil {
 			t.Fatalf("second Close: %v", err)
 		}
-		if err := tr.Send(1, 2, []byte("late")); !errors.Is(err, ErrClosed) {
+		if err := send(tr, 1, 2, []byte("late")); !errors.Is(err, ErrClosed) {
 			t.Errorf("Send after Close = %v, want ErrClosed", err)
 		}
 	})
@@ -547,7 +551,6 @@ type meshView struct {
 	all  map[clock.SiteID]*TCP
 }
 
-func (v *meshView) Send(from, to clock.SiteID, p []byte) error { return v.self.Send(from, to, p) }
 func (v *meshView) SendBatch(from, to clock.SiteID, p [][]byte) error {
 	return v.self.SendBatch(from, to, p)
 }
@@ -558,7 +561,7 @@ func (v *meshView) Register(site clock.SiteID, h Handler)           { v.self.Reg
 func (v *meshView) RegisterBatch(site clock.SiteID, h BatchHandler) { v.self.RegisterBatch(site, h) }
 func (v *meshView) SetMetrics(m Metrics)                            { v.self.SetMetrics(m) }
 func (v *meshView) Stats() Stats                                    { return v.self.Stats() }
-func (v *meshView) Reachable(a, b clock.SiteID) bool                { return v.self.Reachable(a, b) }
+func (v *meshView) SetTrace(r *trace.Ring)                          { v.self.SetTrace(r) }
 func (v *meshView) Close() error                                    { return nil }
 func (v *meshView) Partition(groups ...[]clock.SiteID) {
 	for _, tr := range v.all {

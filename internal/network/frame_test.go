@@ -1,14 +1,15 @@
 package network
 
-// Codec tests: the wire format round-trips its trace context and batch
-// identities, and every other version byte, the retired v1 and v2
-// included, surfaces the typed error.
+// Codec tests: the wire format round-trips its header and batch body,
+// and every other version byte, the retired v1, v2 and v3 included,
+// surfaces the typed error.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -16,9 +17,8 @@ import (
 	"esr/internal/trace"
 )
 
-func TestFrameV2RoundTrip(t *testing.T) {
-	tc := TraceContext{Origin: 3, MSet: 0xdeadbeef, Stamp: 42, Shard: 5}
-	b := appendFrameHeader(nil, frameSend, 7, 1, 2, tc)
+func TestFrameRoundTrip(t *testing.T) {
+	b := appendFrameHeader(nil, frameCall, 7, 1, 2, 42)
 	b = append(b, []byte("payload")...)
 	finishFrame(b, 0)
 
@@ -26,36 +26,27 @@ func TestFrameV2RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
-	if f.kind != frameSend || f.req != 7 || f.from != 1 || f.to != 2 {
+	if f.kind != frameCall || f.req != 7 || f.from != 1 || f.to != 2 || f.stamp != 42 {
 		t.Errorf("frame = %+v", f)
-	}
-	if f.tc != tc {
-		t.Errorf("trace context = %+v, want %+v", f.tc, tc)
 	}
 	if string(f.body) != "payload" {
 		t.Errorf("body = %q", f.body)
 	}
 }
 
-func TestBatchBodyV2CarriesIdentities(t *testing.T) {
+func TestBatchBodyRoundTrip(t *testing.T) {
 	payloads := [][]byte{[]byte("a"), []byte("bb"), []byte("")}
-	ids := []uint64{0x10, 0x20, 0x30}
-	body := appendBatchBody(nil, payloads, ids)
-	got, gotIDs, err := splitBatchBody(body)
+	got, err := splitBatchBody(appendBatchBody(nil, payloads))
 	if err != nil {
 		t.Fatalf("splitBatchBody: %v", err)
 	}
 	if len(got) != 3 || string(got[0]) != "a" || string(got[1]) != "bb" || len(got[2]) != 0 {
 		t.Errorf("payloads = %q", got)
 	}
-	if len(gotIDs) != 3 || gotIDs[0] != 0x10 || gotIDs[2] != 0x30 {
-		t.Errorf("ids = %#x", gotIDs)
-	}
-	// nil ids encode as zero identities, not a different layout.
-	body = appendBatchBody(nil, payloads, nil)
-	_, gotIDs, err = splitBatchBody(body)
-	if err != nil || len(gotIDs) != 3 || gotIDs[0] != 0 {
-		t.Errorf("untraced batch ids = %#x, err %v", gotIDs, err)
+	// A count the body cannot hold is refused, not allocated for.
+	hostile := binary.BigEndian.AppendUint32(nil, 1<<30)
+	if _, err := splitBatchBody(append(hostile, 0, 0, 0, 0)); err == nil {
+		t.Error("splitBatchBody accepted 2^30 messages in 4 bytes")
 	}
 }
 
@@ -106,9 +97,10 @@ func TestFrameV1EndToEnd(t *testing.T) {
 }
 
 func TestFrameUnknownVersionTyped(t *testing.T) {
-	// 1 and 2 are the retired codecs; they are as unknown as any other.
-	for _, v := range []byte{0, 1, 2, CodecVersion + 1, 0xff} {
-		b := appendFrameHeader(nil, frameSend, 1, 1, 2, TraceContext{})
+	// 1, 2 and 3 are the retired codecs; they are as unknown as any
+	// other.
+	for _, v := range []byte{0, 1, 2, 3, CodecVersion + 1, 0xff} {
+		b := appendFrameHeader(nil, frameCall, 1, 1, 2, 0)
 		finishFrame(b, 0)
 		b[0] = v
 		var cve *CodecVersionError
@@ -123,9 +115,10 @@ func TestFrameUnknownVersionTyped(t *testing.T) {
 // TestFrameV1BackwardCompatible pins what a retired v1 peer now gets:
 // its send and batch frames, hand-crafted in the old 30-byte-header
 // layout, are refused with the typed error instead of being misparsed
-// as v3 frames.
+// as current frames.
 func TestFrameV1BackwardCompatible(t *testing.T) {
-	b := appendFrameHeaderV1(nil, frameSend, 9, 4, 5)
+	const v1Send = 1 // the retired one-way kind
+	b := appendFrameHeaderV1(nil, v1Send, 9, 4, 5)
 	b = append(b, []byte("old")...)
 	finishFrame(b, 0)
 
@@ -150,7 +143,7 @@ func TestFrameV1BackwardCompatible(t *testing.T) {
 // TestTracedSendPropagatesStamp pins the causal contract over real
 // sockets: the receiver's ring observes a stamp at least as large as
 // the sender's at send time, and net-send/net-recv spans land in the
-// respective rings attributed to the MSet.
+// respective rings as infrastructure events (no MSet).
 func TestTracedSendPropagatesStamp(t *testing.T) {
 	a, b := tcpPair(t)
 	ringA, ringB := trace.NewRing(64), trace.NewRing(64)
@@ -160,21 +153,20 @@ func TestTracedSendPropagatesStamp(t *testing.T) {
 
 	// Seed the sender's causal clock well past the receiver's.
 	ringA.ObserveStamp(100)
-	tc := TraceContext{Origin: 1, MSet: 0xabc, Stamp: ringA.Stamp()}
-	if err := a.SendTraced(1, 2, []byte("m"), tc); err != nil {
-		t.Fatalf("SendTraced: %v", err)
+	if err := a.SendBatch(1, 2, [][]byte{[]byte("x"), []byte("y")}); err != nil {
+		t.Fatalf("SendBatch: %v", err)
 	}
 	if got := ringB.Stamp(); got < 100 {
 		t.Errorf("receiver stamp = %d, want >= 100 (merged from frame)", got)
 	}
 	var sendSpan, recvSpan bool
 	for _, e := range ringA.Snapshot() {
-		if e.Kind == trace.NetSend && e.MSet == 0xabc && e.Dur > 0 {
+		if e.Kind == trace.NetSend && e.MSet == 0 && e.Dur > 0 {
 			sendSpan = true
 		}
 	}
 	for _, e := range ringB.Snapshot() {
-		if e.Kind == trace.NetRecv && e.MSet == 0xabc && e.Stamp > 100 {
+		if e.Kind == trace.NetRecv && e.MSet == 0 && e.Stamp > 100 {
 			recvSpan = true
 		}
 	}
@@ -185,15 +177,78 @@ func TestTracedSendPropagatesStamp(t *testing.T) {
 		t.Error("receiver ring missing net-recv event stamped after sender")
 	}
 
-	// Batches carry identities and merge stamps the same way.
-	if err := a.SendBatchTraced(1, 2, [][]byte{[]byte("x"), []byte("y")},
-		[]uint64{0x1, 0x2}, TraceContext{Origin: 1, Stamp: ringA.Stamp()}); err != nil {
-		t.Fatalf("SendBatchTraced: %v", err)
-	}
-
 	// The response stamped the sender's ring from the receiver: after
 	// both sides recorded, clocks converge monotonically.
-	if sa, sb := ringA.Stamp(), ringB.Stamp(); sa == 0 || sb == 0 {
-		t.Errorf("stamps = %d, %d", sa, sb)
+	if sa, sb := ringA.Stamp(), ringB.Stamp(); sa < sb {
+		t.Errorf("sender stamp %d behind receiver stamp %d after the response", sa, sb)
 	}
+}
+
+// appendFrameHeaderV3 hand-crafts the retired v3 layout (56-byte
+// header: trace origin, MSet identity, stamp and shard), as a v3 peer
+// would emit it.
+func appendFrameHeaderV3(dst []byte, kind byte, req uint64, from, to clock.SiteID) []byte {
+	start := len(dst)
+	dst = appendFrameHeaderV1(dst, kind, req, from, to)
+	dst[start] = 3
+	dst = binary.BigEndian.AppendUint64(dst, uint64(from)) // trace origin
+	dst = binary.BigEndian.AppendUint64(dst, 0xabc)        // MSet identity
+	dst = binary.BigEndian.AppendUint64(dst, 42)           // stamp
+	return binary.BigEndian.AppendUint16(dst, 1)           // shard
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the socket decoder.  Whatever
+// the input, readFrame (and splitBatchBody on a batch frame) must not
+// panic, must not allocate past maxFrameLen, and every frame it accepts
+// must re-encode to exactly the bytes it consumed.
+func FuzzReadFrame(f *testing.F) {
+	call := appendFrameHeader(nil, frameCall, 1, 1, 2, 7)
+	call = append(call, "ping"...)
+	finishFrame(call, 0)
+	batch := appendFrameHeader(nil, frameBatch, 2, 1, 2, 0)
+	batch = appendBatchBody(batch, [][]byte{[]byte("a"), nil, []byte("ccc")})
+	finishFrame(batch, 0)
+	resp := appendFrameHeader(nil, frameResp, 3, 2, 1, 9)
+	resp = append(resp, respErr)
+	resp = append(resp, "boom"...)
+	finishFrame(resp, 0)
+	v3 := appendFrameHeaderV3(nil, frameBatch, 4, 1, 2)
+	v3 = binary.BigEndian.AppendUint32(v3, 0)
+	finishFrame(v3, 0)
+	hostile := appendFrameHeader(nil, frameBatch, 5, 1, 2, 0)
+	hostile = binary.BigEndian.AppendUint32(hostile, maxFrameLen/4)
+	finishFrame(hostile, 0)
+	for _, seed := range [][]byte{call, batch, resp, v3, hostile, call[:frameHeaderLen-1], nil} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := bytes.NewReader(data)
+		fr, err := readFrame(r)
+		var payloads [][]byte
+		var splitErr error
+		if err == nil && fr.kind == frameBatch {
+			payloads, splitErr = splitBatchBody(fr.body)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > maxFrameLen {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		consumed := data[:len(data)-r.Len()]
+		again := appendFrameHeader(nil, fr.kind, fr.req, fr.from, fr.to, fr.stamp)
+		again = append(again, fr.body...)
+		finishFrame(again, 0)
+		if !bytes.Equal(again, consumed) {
+			t.Fatalf("frame re-encodes to\n%x\nwant\n%x", again, consumed)
+		}
+		if fr.kind == frameBatch && splitErr == nil {
+			if body := appendBatchBody(nil, payloads); !bytes.Equal(body, fr.body) {
+				t.Fatalf("batch body re-encodes to\n%x\nwant\n%x", body, fr.body)
+			}
+		}
+	})
 }

@@ -14,11 +14,11 @@
 //     length-prefixed versioned frames and per-peer connection pools, so
 //     a cluster of cmd/esrnode processes spans machine boundaries.
 //
-// Message loss, partitions and connection failures surface as Send/Call
-// errors, which the stable-queue delivery agents mask by retrying,
-// exactly as the paper prescribes.  Delivery is therefore at-least-once:
-// receivers own deduplication (the replica layer's seen-set), never the
-// transport.
+// Message loss, partitions and connection failures surface as
+// SendBatch/Call errors, which the stable-queue delivery agents mask by
+// retrying, exactly as the paper prescribes.  Delivery is therefore
+// at-least-once: receivers own deduplication (the replica layer's
+// seen-set), never the transport.
 package network
 
 import (
@@ -31,7 +31,7 @@ import (
 	"esr/internal/trace"
 )
 
-// Errors returned by Send, Call and SendBatch.  All are transient: the
+// Errors returned by SendBatch and Call.  All are transient: the
 // caller is expected to retry (stable-queue semantics).  The TCP
 // transport maps these across the wire, so errors.Is works identically
 // against both implementations.
@@ -64,7 +64,7 @@ type RemoteError struct {
 
 func (e *RemoteError) Error() string { return "network: remote: " + e.Msg }
 
-// Transient reports whether a Send/Call/SendBatch failure is worth
+// Transient reports whether a SendBatch/Call failure is worth
 // retrying: the fault sentinels above (crash, partition, loss, dial
 // backoff) plus ErrUnknownSite, which during a rolling restart means
 // "the peer has not registered its handler yet".  Everything else —
@@ -96,31 +96,30 @@ type BatchHandler func(from clock.SiteID, payloads [][]byte) error
 // The contract every implementation (and the conformance suite in
 // conformance_test.go) holds to:
 //
-//   - Send returns nil only after the destination handler ran and
-//     succeeded — the implicit acknowledgement.  Any error means the
-//     message may or may not have been delivered and must be retried;
-//     the receiver's dedup absorbs repeats (at-least-once).
-//   - SendBatch is all-or-nothing per frame: one transit covers the
-//     whole batch, an error retries the whole batch.  When the
-//     destination has no batch handler the frame falls back to its
-//     per-message handler, still as one transit.
+//   - SendBatch returns nil only after the destination handler ran and
+//     succeeded — the implicit acknowledgement.  It is all-or-nothing
+//     per frame: one transit covers the whole batch, and any error means
+//     the frame may or may not have been delivered and must be retried
+//     whole; the receiver's dedup absorbs repeats (at-least-once).  A
+//     single message is a frame of one.  When the destination has no
+//     batch handler the frame falls back to its per-message handler,
+//     still as one transit.
 //   - Call is a synchronous round trip returning the handler's response.
 //   - Partition/Heal/Crash/Restart are fault-injection hooks.  The
 //     simulator applies them to the whole (in-process) network; a
 //     distributed transport applies them to this instance's local view,
 //     which is what tests and operators hold a handle to.
 type Transport interface {
-	// Send delivers a one-way message; nil means the destination handler
-	// ran and succeeded.
-	Send(from, to clock.SiteID, payload []byte) error
+	// SendBatch delivers a whole frame of messages in one transit,
+	// all-or-nothing; nil means the destination handler ran and
+	// succeeded.
+	SendBatch(from, to clock.SiteID, payloads [][]byte) error
 	// Call performs a synchronous round trip and returns the handler's
 	// response payload.
 	Call(from, to clock.SiteID, payload []byte) ([]byte, error)
-	// SendBatch delivers a whole frame of messages in one transit,
-	// all-or-nothing.
-	SendBatch(from, to clock.SiteID, payloads [][]byte) error
 	// Register installs the message handler for a site hosted behind
-	// this transport.  Re-registering replaces the handler (crashed-site
+	// this transport, used by Call and by frames to a site without a
+	// batch handler.  Re-registering replaces the handler (crashed-site
 	// restart).
 	Register(site clock.SiteID, h Handler)
 	// RegisterBatch installs the frame handler for a site, used by
@@ -128,6 +127,11 @@ type Transport interface {
 	RegisterBatch(site clock.SiteID, h BatchHandler)
 	// SetMetrics installs instrumentation.  Call before concurrent use.
 	SetMetrics(m Metrics)
+	// SetTrace installs the trace ring: the transport records
+	// frame-level net-send/net-recv spans in it and, across processes,
+	// carries its causal stamp on every frame.  Call before concurrent
+	// use.
+	SetTrace(r *trace.Ring)
 	// Stats returns a snapshot of the cumulative transport statistics.
 	Stats() Stats
 	// Partition splits the sites into groups; messages between different
@@ -135,9 +139,6 @@ type Transport interface {
 	Partition(groups ...[]clock.SiteID)
 	// Heal removes all partitions.
 	Heal()
-	// Reachable reports whether a and b are in the same partition and
-	// both up, from this transport's point of view.
-	Reachable(a, b clock.SiteID) bool
 	// Crash marks a site as down; messages to and from it fail with
 	// ErrSiteDown until Restart.
 	Crash(site clock.SiteID)
@@ -146,53 +147,6 @@ type Transport interface {
 	// Close shuts the transport down; in-flight operations fail with
 	// ErrClosed.  Close is idempotent.
 	Close() error
-}
-
-// TracedTransport is the optional causal-tracing extension of
-// Transport, implemented by both Sim and TCP.  A traced transport
-// carries a TraceContext — (origin site, MSet message identity,
-// causal stamp) — with every frame (TCP puts it on the wire, codec
-// v2; the in-process simulator shares the ring directly), merges
-// inbound stamps into the installed ring, and records frame-level
-// net-send/net-recv spans.  It is deliberately not part of Transport:
-// test fakes and future transports stay valid without it, and callers
-// route through SendCtx/SendBatchCtx which degrade to the plain calls.
-type TracedTransport interface {
-	Transport
-	// SetTrace installs the trace ring.  Call before concurrent use.
-	SetTrace(r *trace.Ring)
-	// SendTraced is Send carrying a causal trace context.
-	SendTraced(from, to clock.SiteID, payload []byte, tc TraceContext) error
-	// SendBatchTraced is SendBatch carrying a causal trace context and
-	// per-message MSet identities (ids[i] identifies payloads[i]; nil
-	// means untraced identities).
-	SendBatchTraced(from, to clock.SiteID, payloads [][]byte, ids []uint64, tc TraceContext) error
-}
-
-// SendCtx sends with a causal trace context when the transport
-// supports one, degrading to a plain Send otherwise.
-func SendCtx(t Transport, from, to clock.SiteID, payload []byte, tc TraceContext) error {
-	if tt, ok := t.(TracedTransport); ok {
-		return tt.SendTraced(from, to, payload, tc)
-	}
-	return t.Send(from, to, payload)
-}
-
-// SendBatchCtx sends a batch with a causal trace context when the
-// transport supports one, degrading to a plain SendBatch otherwise.
-func SendBatchCtx(t Transport, from, to clock.SiteID, payloads [][]byte, ids []uint64, tc TraceContext) error {
-	if tt, ok := t.(TracedTransport); ok {
-		return tt.SendBatchTraced(from, to, payloads, ids, tc)
-	}
-	return t.SendBatch(from, to, payloads)
-}
-
-// SetTrace installs the trace ring on a transport that supports
-// causal tracing; a no-op otherwise.
-func SetTrace(t Transport, r *trace.Ring) {
-	if tt, ok := t.(TracedTransport); ok {
-		tt.SetTrace(r)
-	}
 }
 
 // Config parameterizes the simulated transport (Sim).
@@ -229,12 +183,12 @@ func (c Config) Validate() error {
 // sender, Delivered/Bytes/Frames on the receiver (an in-process local
 // delivery counts both sides at once).
 type Stats struct {
-	Sent        uint64 // messages handed to Send/Call/SendBatch
+	Sent        uint64 // messages handed to SendBatch/Call
 	Delivered   uint64 // messages that reached a handler
 	Lost        uint64 // messages dropped by the loss model
 	Partitioned uint64 // messages rejected because of a partition
 	Bytes       uint64 // payload bytes delivered
-	Frames      uint64 // batch frames delivered (one per SendBatch success)
+	Frames      uint64 // frames delivered (one per SendBatch success)
 	Dials       uint64 // connection (re)establishments (TCP only)
 }
 
@@ -244,7 +198,7 @@ type Stats struct {
 // simulation determinism (the A4 rule) is preserved; on the TCP
 // transport it observes the measured round-trip time.
 type Metrics struct {
-	// Sent counts messages handed to Send/Call/SendBatch.
+	// Sent counts messages handed to SendBatch/Call.
 	Sent *metrics.Counter
 	// Delivered counts messages that reached a handler successfully.
 	Delivered *metrics.Counter
@@ -254,7 +208,7 @@ type Metrics struct {
 	Partitioned *metrics.Counter
 	// Bytes counts payload bytes delivered.
 	Bytes *metrics.Counter
-	// Frames counts batch frames delivered (one per SendBatch success).
+	// Frames counts frames delivered (one per SendBatch success).
 	Frames *metrics.Counter
 	// LatencySeconds observes the per-transit delay in nanoseconds, one
 	// observation per transit (frame or message), whatever its outcome.

@@ -77,11 +77,8 @@ func TestPartitionBlocksAndHealRestores(t *testing.T) {
 	if err := tr.Send(1, 2, nil); !errors.Is(err, ErrPartitioned) {
 		t.Errorf("cross-partition Send = %v, want ErrPartitioned", err)
 	}
-	if !tr.Reachable(2, 3) {
-		t.Errorf("sites in the same partition must be reachable")
-	}
-	if tr.Reachable(1, 2) {
-		t.Errorf("sites in different partitions must not be reachable")
+	if err := tr.Send(2, 1, nil); !errors.Is(err, ErrPartitioned) {
+		t.Errorf("cross-partition Send the other way = %v, want ErrPartitioned", err)
 	}
 	if err := tr.Send(2, 3, nil); err != nil {
 		t.Errorf("intra-partition Send = %v, want nil", err)
@@ -100,8 +97,8 @@ func TestCrashAndRestart(t *testing.T) {
 	if err := tr.Send(1, 2, nil); !errors.Is(err, ErrSiteDown) {
 		t.Errorf("Send to crashed site = %v, want ErrSiteDown", err)
 	}
-	if tr.Reachable(1, 2) {
-		t.Errorf("crashed site must be unreachable")
+	if err := tr.Send(2, 1, nil); !errors.Is(err, ErrSiteDown) {
+		t.Errorf("Send from crashed site = %v, want ErrSiteDown", err)
 	}
 	tr.Restart(2)
 	if err := tr.Send(1, 2, nil); err != nil {
@@ -218,10 +215,10 @@ func TestPartitionUnmentionedSitesStayInGroupZero(t *testing.T) {
 		tr.Register(s, echoHandler(nil))
 	}
 	tr.Partition([]clock.SiteID{1}, []clock.SiteID{2}) // site 3 unmentioned → group 0 with site 1
-	if !tr.Reachable(1, 3) {
-		t.Errorf("unmentioned site should share group 0 with first group")
+	if err := tr.Send(1, 3, nil); err != nil {
+		t.Errorf("unmentioned site should share group 0 with first group: Send = %v", err)
 	}
-	if tr.Reachable(2, 3) {
-		t.Errorf("site 2 is isolated from group 0")
+	if err := tr.Send(2, 3, nil); !errors.Is(err, ErrPartitioned) {
+		t.Errorf("site 2 is isolated from group 0: Send = %v, want ErrPartitioned", err)
 	}
 }

@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"esr/internal/clock"
@@ -11,49 +10,20 @@ import (
 	"esr/internal/trace"
 )
 
-// Sim is the in-process simulated transport: seeded per-message latency,
+// Sim is the in-process simulated transport: seeded per-frame latency,
 // transient loss, explicit partitions and site crashes — the real
 // multi-site network replaced, per the reproduction's substitution rule,
 // by a deterministic model.  It is safe for concurrent use and
-// implements Transport.
+// implements Transport.  Sender and receiver share one process, so it
+// carries no causal stamps: an installed trace ring records net-send
+// spans only.
 type Sim struct {
+	sites
 	cfg Config
-
-	mu            sync.Mutex
-	rng           *rand.Rand
-	handlers      map[clock.SiteID]Handler
-	batchHandlers map[clock.SiteID]BatchHandler
-	partition     map[clock.SiteID]int // partition group; absent means group 0
-	down          map[clock.SiteID]bool
-	stats         Stats
-	met           Metrics
-	ring          *trace.Ring
+	rng *rand.Rand // guarded by sites.mu
 }
 
-// Sim implements Transport (and its traced extension).
-var (
-	_ Transport       = (*Sim)(nil)
-	_ TracedTransport = (*Sim)(nil)
-)
-
-// SetMetrics installs instrumentation.  Call before concurrent use.
-func (t *Sim) SetMetrics(m Metrics) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.met = m
-}
-
-// SetTrace installs the trace ring: traced sends record frame-level
-// net-send spans covering the simulated transit.  The simulator is
-// in-process — sender and receiver share one ring — so causal stamps
-// need no wire propagation here; the context still travels through the
-// traced entry points so core wires both transports identically.  Call
-// before concurrent use.
-func (t *Sim) SetTrace(r *trace.Ring) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ring = r
-}
+var _ Transport = (*Sim)(nil)
 
 // New returns a simulated transport with the given configuration, or an
 // error when the configuration is invalid (see Config.Validate).
@@ -61,82 +31,9 @@ func New(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Sim{
-		cfg:           cfg,
-		rng:           rand.New(rand.NewSource(cfg.Seed)),
-		handlers:      make(map[clock.SiteID]Handler),
-		batchHandlers: make(map[clock.SiteID]BatchHandler),
-		partition:     make(map[clock.SiteID]int),
-		down:          make(map[clock.SiteID]bool),
-	}, nil
-}
-
-// Register installs the message handler for a site.  Re-registering
-// replaces the handler (used when a crashed site restarts).
-func (t *Sim) Register(site clock.SiteID, h Handler) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.handlers[site] = h
-}
-
-// RegisterBatch installs the frame handler for a site, used by SendBatch.
-// Re-registering replaces the handler (used when a crashed site restarts).
-func (t *Sim) RegisterBatch(site clock.SiteID, h BatchHandler) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.batchHandlers[site] = h
-}
-
-// Partition splits the sites into the given groups.  Sites not mentioned
-// land in group 0 alongside the first group.  Messages between different
-// groups fail with ErrPartitioned until Heal is called.
-func (t *Sim) Partition(groups ...[]clock.SiteID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.partition = make(map[clock.SiteID]int)
-	for g, sites := range groups {
-		for _, s := range sites {
-			t.partition[s] = g
-		}
-	}
-}
-
-// Heal removes all partitions.
-func (t *Sim) Heal() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.partition = make(map[clock.SiteID]int)
-}
-
-// Reachable reports whether a and b are currently in the same partition
-// and both up.
-func (t *Sim) Reachable(a, b clock.SiteID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.partition[a] == t.partition[b] && !t.down[a] && !t.down[b]
-}
-
-// Crash marks a site as down.  Messages to it fail with ErrSiteDown until
-// Restart.  (Local site state is owned by the replica layer; Crash only
-// models the network-visible effect.)
-func (t *Sim) Crash(site clock.SiteID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.down[site] = true
-}
-
-// Restart marks a crashed site as up again.
-func (t *Sim) Restart(site clock.SiteID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.down, site)
-}
-
-// Stats returns a snapshot of the cumulative transport statistics.
-func (t *Sim) Stats() Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats
+	t := &Sim{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	t.init()
+	return t, nil
 }
 
 // Close shuts the simulator down.  The simulator holds no external
@@ -144,187 +41,67 @@ func (t *Sim) Stats() Stats {
 // Transport contract; the instance stays usable for draining tests.
 func (t *Sim) Close() error { return nil }
 
-// Send delivers a one-way message from one site to another, blocking for
-// the sampled link latency.  A nil error means the destination handler ran
-// and succeeded (the implicit acknowledgement); any error means the
-// message must be retried by the caller.
+// Send delivers one message as a frame of one.
 func (t *Sim) Send(from, to clock.SiteID, payload []byte) error {
-	_, err := t.deliver(from, to, payload, 1, TraceContext{}, false)
-	return err
-}
-
-// SendTraced is Send carrying a causal trace context; the delivery
-// records a net-send span attributed to the context's MSet.
-func (t *Sim) SendTraced(from, to clock.SiteID, payload []byte, tc TraceContext) error {
-	_, err := t.deliver(from, to, payload, 1, tc, true)
-	return err
+	return t.SendBatch(from, to, [][]byte{payload})
 }
 
 // Call performs a synchronous round trip: request latency, handler,
 // response latency.  It returns the handler's response payload.  The
 // synchronous coherency-control baselines (2PC, quorum voting) are built
-// on Call; the asynchronous replica-control methods use Send via stable
-// queues.
+// on Call; the asynchronous replica-control methods use SendBatch via
+// stable queues.
 func (t *Sim) Call(from, to clock.SiteID, payload []byte) ([]byte, error) {
-	return t.deliver(from, to, payload, 2, TraceContext{}, false)
+	return t.transit(from, to, [][]byte{payload}, true)
 }
 
 // SendBatch delivers a whole frame of messages in one network transit:
 // one latency sample, one loss decision, and one partition check cover
-// the entire batch, which is what makes batched propagation cheap on
+// the entire frame, which is what makes batched propagation cheap on
 // slow links.  The frame is all-or-nothing — on any error the caller
-// retries the whole batch and dedup at the receiver absorbs repeats.
-// Falls back to the site's per-message handler if no batch handler is
-// registered (still a single simulated transit).
+// retries the whole frame and dedup at the receiver absorbs repeats.
 func (t *Sim) SendBatch(from, to clock.SiteID, payloads [][]byte) error {
-	return t.sendBatch(from, to, payloads, TraceContext{}, false)
-}
-
-// SendBatchTraced is SendBatch carrying a causal trace context and the
-// per-message MSet identities (the simulator delivers payloads
-// in-process, so the identities only label the recorded span).
-func (t *Sim) SendBatchTraced(from, to clock.SiteID, payloads [][]byte, ids []uint64, tc TraceContext) error {
-	return t.sendBatch(from, to, payloads, tc, true)
-}
-
-func (t *Sim) sendBatch(from, to clock.SiteID, payloads [][]byte, tc TraceContext, traced bool) error {
 	if len(payloads) == 0 {
 		return nil
 	}
+	_, err := t.transit(from, to, payloads, false)
+	return err
+}
+
+// transit carries one frame (a call is a frame of one with two legs)
+// through the fault model and on to the destination's handler.
+func (t *Sim) transit(from, to clock.SiteID, payloads [][]byte, call bool) ([]byte, error) {
 	sw := stopwatch.Start()
 	n := uint64(len(payloads))
+	legs := time.Duration(1)
+	if call {
+		legs = 2
+	}
 	t.mu.Lock()
-	t.stats.Sent += n
-	t.met.Sent.Add(n)
-	bh, bok := t.batchHandlers[to]
-	h, ok := t.handlers[to]
-	ring := t.ring
-	lat := t.sampleLatencyLocked()
+	lat := t.sampleLatencyLocked() * legs
 	lost := t.cfg.LossRate > 0 && t.rng.Float64() < t.cfg.LossRate
-	partitioned := t.partition[from] != t.partition[to]
-	isDown := t.down[to] || t.down[from]
 	t.mu.Unlock()
 	t.met.LatencySeconds.Observe(int64(lat))
-
-	if !bok && !ok {
-		return fmt.Errorf("%w: %v", ErrUnknownSite, to)
+	if err := t.send(from, to, n); err != nil {
+		return nil, err
 	}
-	if partitioned {
-		t.count(func(s *Stats) { s.Partitioned += n })
-		t.met.Partitioned.Add(n)
-		return ErrPartitioned
-	}
-	if isDown {
-		return ErrSiteDown
-	}
-	if lat > 0 {
-		time.Sleep(lat)
-	}
+	time.Sleep(lat)
 	if lost {
 		t.count(func(s *Stats) { s.Lost += n })
 		t.met.Lost.Add(n)
-		return ErrLost
-	}
-	t.mu.Lock()
-	stillOK := t.partition[from] == t.partition[to] && !t.down[to]
-	t.mu.Unlock()
-	if !stillOK {
-		t.count(func(s *Stats) { s.Partitioned += n })
-		t.met.Partitioned.Add(n)
-		return ErrPartitioned
-	}
-	var bytes uint64
-	for _, p := range payloads {
-		bytes += uint64(len(p))
-	}
-	if bok {
-		if err := bh(from, payloads); err != nil {
-			return err
-		}
-	} else {
-		for _, p := range payloads {
-			if _, err := h(from, p); err != nil {
-				return err
-			}
-		}
-	}
-	t.count(func(s *Stats) {
-		s.Delivered += n
-		s.Bytes += bytes
-		s.Frames++
-	})
-	t.met.Delivered.Add(n)
-	t.met.Bytes.Add(bytes)
-	t.met.Frames.Inc()
-	if traced && ring != nil {
-		ring.RecordSpan(trace.NetSend, int(from), "", tc.MSet, sw.Began(), fmt.Sprintf("to=%d n=%d", to, n))
-	}
-	return nil
-}
-
-func (t *Sim) deliver(from, to clock.SiteID, payload []byte, legs int, tc TraceContext, traced bool) ([]byte, error) {
-	sw := stopwatch.Start()
-	t.mu.Lock()
-	t.stats.Sent++
-	t.met.Sent.Inc()
-	h, ok := t.handlers[to]
-	ring := t.ring
-	lat := t.sampleLatencyLocked() * time.Duration(legs)
-	lost := t.cfg.LossRate > 0 && t.rng.Float64() < t.cfg.LossRate
-	partitioned := t.partition[from] != t.partition[to]
-	isDown := t.down[to] || t.down[from]
-	t.mu.Unlock()
-	t.met.LatencySeconds.Observe(int64(lat))
-
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownSite, to)
-	}
-	if partitioned {
-		t.count(func(s *Stats) { s.Partitioned++ })
-		t.met.Partitioned.Inc()
-		return nil, ErrPartitioned
-	}
-	if isDown {
-		return nil, ErrSiteDown
-	}
-	if lat > 0 {
-		time.Sleep(lat)
-	}
-	if lost {
-		t.count(func(s *Stats) { s.Lost++ })
-		t.met.Lost.Inc()
 		return nil, ErrLost
 	}
-	// Re-check the partition after the transit delay: a partition that
-	// formed while the message was in flight kills it.
-	t.mu.Lock()
-	stillOK := t.partition[from] == t.partition[to] && !t.down[to]
-	t.mu.Unlock()
-	if !stillOK {
-		t.count(func(s *Stats) { s.Partitioned++ })
-		t.met.Partitioned.Inc()
-		return nil, ErrPartitioned
+	if lat > 0 {
+		// A partition that formed while the frame was in flight kills it.
+		if err := t.fault(from, to, n); err != nil {
+			return nil, err
+		}
 	}
-	resp, err := h(from, payload)
-	if err != nil {
-		return nil, err
+	resp, err := t.dispatch(from, to, payloads, call)
+	if ring := t.ring.Load(); err == nil && !call && ring != nil {
+		ring.RecordSpan(trace.NetSend, int(from), "", 0, sw.Began(), fmt.Sprintf("to=%d n=%d", to, n))
 	}
-	t.count(func(s *Stats) {
-		s.Delivered++
-		s.Bytes += uint64(len(payload))
-	})
-	t.met.Delivered.Inc()
-	t.met.Bytes.Add(uint64(len(payload)))
-	if traced && ring != nil {
-		ring.RecordSpan(trace.NetSend, int(from), "", tc.MSet, sw.Began(), fmt.Sprintf("to=%d n=%d", to, 1))
-	}
-	return resp, nil
-}
-
-func (t *Sim) count(f func(*Stats)) {
-	t.mu.Lock()
-	f(&t.stats)
-	t.mu.Unlock()
+	return resp, err
 }
 
 func (t *Sim) sampleLatencyLocked() time.Duration {

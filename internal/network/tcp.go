@@ -2,6 +2,7 @@ package network
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -56,35 +57,29 @@ type TCPOptions struct {
 // so concurrent senders share syscalls.  It implements the same
 // at-least-once contract as Sim; the conformance suite runs against
 // both.
+//
+// The embedded site table holds the handlers of the sites hosted here
+// and this instance's fault view, which it applies to outbound frames
+// and to inbound ones alike.
 type TCP struct {
+	sites
 	opt  TCPOptions
 	ln   net.Listener
 	done chan struct{}
 	wg   sync.WaitGroup
 
-	mu            sync.Mutex
-	handlers      map[clock.SiteID]Handler
-	batchHandlers map[clock.SiteID]BatchHandler
-	local         map[clock.SiteID]bool
-	peers         map[clock.SiteID]string
-	pool          map[string]*tcpPeer
-	serverConns   map[net.Conn]bool
-	partition     map[clock.SiteID]int
-	down          map[clock.SiteID]bool
-	stats         Stats
-	met           Metrics
-	ring          *trace.Ring
-	rng           *rand.Rand
-	closed        bool
+	mu          sync.Mutex // guards the fields below, not the site table
+	local       map[clock.SiteID]bool
+	peers       map[clock.SiteID]string
+	pool        map[string]*tcpPeer
+	serverConns map[net.Conn]bool
+	rng         *rand.Rand
+	closed      bool
 
 	reqID atomic.Uint64
 }
 
-// TCP implements Transport (and its traced extension).
-var (
-	_ Transport       = (*TCP)(nil)
-	_ TracedTransport = (*TCP)(nil)
-)
+var _ Transport = (*TCP)(nil)
 
 // tcpResp is a response delivered to a waiting sender.
 type tcpResp struct {
@@ -134,18 +129,15 @@ func NewTCP(opt TCPOptions) (*TCP, error) {
 		return nil, fmt.Errorf("network: listen %s: %w", opt.Listen, err)
 	}
 	t := &TCP{
-		opt:           opt,
-		ln:            ln,
-		done:          make(chan struct{}),
-		handlers:      make(map[clock.SiteID]Handler),
-		batchHandlers: make(map[clock.SiteID]BatchHandler),
-		local:         make(map[clock.SiteID]bool, len(opt.Local)),
-		peers:         make(map[clock.SiteID]string, len(opt.Peers)),
-		pool:          make(map[string]*tcpPeer),
-		serverConns:   make(map[net.Conn]bool),
-		partition:     make(map[clock.SiteID]int),
-		down:          make(map[clock.SiteID]bool),
+		opt:         opt,
+		ln:          ln,
+		done:        make(chan struct{}),
+		local:       make(map[clock.SiteID]bool, len(opt.Local)),
+		peers:       make(map[clock.SiteID]string, len(opt.Peers)),
+		pool:        make(map[string]*tcpPeer),
+		serverConns: make(map[net.Conn]bool),
 	}
+	t.init()
 	for _, s := range opt.Local {
 		t.local[s] = true
 	}
@@ -168,88 +160,6 @@ func (t *TCP) AddPeer(site clock.SiteID, addr string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.peers[site] = addr
-}
-
-// Register installs the message handler for a site hosted here.
-func (t *TCP) Register(site clock.SiteID, h Handler) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.handlers[site] = h
-}
-
-// RegisterBatch installs the frame handler for a site hosted here.
-func (t *TCP) RegisterBatch(site clock.SiteID, h BatchHandler) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.batchHandlers[site] = h
-}
-
-// SetMetrics installs instrumentation.  Call before concurrent use.
-func (t *TCP) SetMetrics(m Metrics) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.met = m
-}
-
-// SetTrace installs the trace ring: outgoing frames carry its causal
-// stamp, inbound frames merge theirs into it, and frame-level
-// net-send/net-recv spans are recorded.  Call before concurrent use.
-func (t *TCP) SetTrace(r *trace.Ring) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ring = r
-}
-
-// Stats returns a snapshot of the cumulative transport statistics.
-func (t *TCP) Stats() Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats
-}
-
-// Partition splits the sites into groups from this instance's point of
-// view: outbound messages across groups fail with ErrPartitioned, and
-// inbound frames across groups are rejected the same way.
-func (t *TCP) Partition(groups ...[]clock.SiteID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.partition = make(map[clock.SiteID]int)
-	for g, sites := range groups {
-		for _, s := range sites {
-			t.partition[s] = g
-		}
-	}
-}
-
-// Heal removes all partitions.
-func (t *TCP) Heal() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.partition = make(map[clock.SiteID]int)
-}
-
-// Reachable reports whether a and b are in the same partition and both
-// up, from this instance's point of view.
-func (t *TCP) Reachable(a, b clock.SiteID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.partition[a] == t.partition[b] && !t.down[a] && !t.down[b]
-}
-
-// Crash marks a site as down: messages to and from it fail with
-// ErrSiteDown until Restart, and inbound frames addressed to it are
-// rejected.
-func (t *TCP) Crash(site clock.SiteID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.down[site] = true
-}
-
-// Restart marks a crashed site as up again.
-func (t *TCP) Restart(site clock.SiteID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.down, site)
 }
 
 // Close shuts the transport down gracefully: the listener stops, every
@@ -286,84 +196,50 @@ func (t *TCP) Close() error {
 	return nil
 }
 
-// Send delivers a one-way message.  nil means the destination handler
-// ran and succeeded (the implicit acknowledgement over the response
-// frame); any error means the message must be retried by the caller.
+// Send delivers one message as a frame of one.
 func (t *TCP) Send(from, to clock.SiteID, payload []byte) error {
-	_, err := t.roundTrip(frameSend, from, to, payload, nil, nil, TraceContext{})
-	return err
-}
-
-// SendTraced is Send carrying a causal trace context in the frame.
-func (t *TCP) SendTraced(from, to clock.SiteID, payload []byte, tc TraceContext) error {
-	_, err := t.roundTrip(frameSend, from, to, payload, nil, nil, tc)
-	return err
+	return t.SendBatch(from, to, [][]byte{payload})
 }
 
 // Call performs a synchronous round trip and returns the handler's
 // response payload.
 func (t *TCP) Call(from, to clock.SiteID, payload []byte) ([]byte, error) {
-	return t.roundTrip(frameCall, from, to, payload, nil, nil, TraceContext{})
+	return t.roundTrip(frameCall, from, to, [][]byte{payload})
 }
 
 // SendBatch delivers a whole frame of messages in one network transit,
 // acknowledged by a single response — the SendBatch framing carried
 // verbatim onto the wire.  All-or-nothing: any error retries the whole
-// batch and receiver dedup absorbs repeats.
+// frame and receiver dedup absorbs repeats.
 func (t *TCP) SendBatch(from, to clock.SiteID, payloads [][]byte) error {
 	if len(payloads) == 0 {
 		return nil
 	}
-	_, err := t.roundTrip(frameBatch, from, to, nil, payloads, nil, TraceContext{})
-	return err
-}
-
-// SendBatchTraced is SendBatch carrying a causal trace context plus
-// the per-message MSet identities in the frame body.
-func (t *TCP) SendBatchTraced(from, to clock.SiteID, payloads [][]byte, ids []uint64, tc TraceContext) error {
-	if len(payloads) == 0 {
-		return nil
-	}
-	_, err := t.roundTrip(frameBatch, from, to, nil, payloads, ids, tc)
+	_, err := t.roundTrip(frameBatch, from, to, payloads)
 	return err
 }
 
 // roundTrip is the shared send path: local-view fault checks, then
 // either in-process dispatch (local destination) or one framed request
-// over the peer's pooled connection.
-func (t *TCP) roundTrip(kind byte, from, to clock.SiteID, payload []byte, batch [][]byte, ids []uint64, tc TraceContext) ([]byte, error) {
-	n := uint64(1)
-	if kind == frameBatch {
-		n = uint64(len(batch))
-	}
+// over the peer's pooled connection.  A call carries one payload.
+func (t *TCP) roundTrip(kind byte, from, to clock.SiteID, payloads [][]byte) ([]byte, error) {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	closed, isLocal, addr := t.closed, t.local[to], t.peers[to]
+	t.mu.Unlock()
+	if closed {
 		return nil, ErrClosed
 	}
-	t.stats.Sent += n
-	t.met.Sent.Add(n)
-	partitioned := t.partition[from] != t.partition[to]
-	isDown := t.down[from] || t.down[to]
-	isLocal := t.local[to]
-	addr := t.peers[to]
-	ring := t.ring
-	t.mu.Unlock()
-	if ring != nil && tc.Stamp == 0 {
-		// Every frame carries the sender's causal stamp, even untraced
-		// ones, so receiver-side events order after sender-side ones.
-		tc.Stamp = ring.Stamp()
-	}
-	if partitioned {
-		t.count(func(s *Stats) { s.Partitioned += n })
-		t.met.Partitioned.Add(n)
-		return nil, ErrPartitioned
-	}
-	if isDown {
-		return nil, ErrSiteDown
+	n := uint64(len(payloads))
+	if err := t.send(from, to, n); err != nil {
+		return nil, err
 	}
 	if isLocal {
-		return t.dispatchLocal(kind, from, to, payload, batch, n)
+		// A site hosted by this very instance: no socket, no codec, same
+		// contract and counters.
+		sw := stopwatch.Start()
+		resp, err := t.dispatch(from, to, payloads, kind == frameCall)
+		t.met.LatencySeconds.Observe(int64(sw.Elapsed()))
+		return resp, err
 	}
 	if addr == "" {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownSite, to)
@@ -376,22 +252,25 @@ func (t *TCP) roundTrip(kind byte, from, to clock.SiteID, payload []byte, batch 
 	req := t.reqID.Add(1)
 	ch := make(chan tcpResp, 1)
 
+	// Every frame carries the sender's causal stamp, so receiver-side
+	// events order after sender-side ones.
+	ring := t.ring.Load()
 	buf := getFrameBuf()
-	b := appendFrameHeader(*buf, kind, req, from, to, tc)
+	b := appendFrameHeader(*buf, kind, req, from, to, ring.Stamp())
 	if kind == frameBatch {
-		b = appendBatchBody(b, batch, ids)
+		b = appendBatchBody(b, payloads)
 	} else {
-		b = append(b, payload...)
+		b = append(b, payloads[0]...)
 	}
 	finishFrame(b, 0)
 	*buf = b
 
 	sw := stopwatch.Start()
-	if err := p.submit(req, ch, *buf); err != nil {
-		putFrameBuf(buf)
+	err := p.submit(req, ch, *buf)
+	putFrameBuf(buf)
+	if err != nil {
 		return nil, err
 	}
-	putFrameBuf(buf)
 
 	timer := time.NewTimer(t.opt.IOTimeout)
 	defer timer.Stop()
@@ -416,68 +295,12 @@ func (t *TCP) roundTrip(kind byte, from, to clock.SiteID, payload []byte, batch 
 		}
 		return nil, respError(r.status, r.body)
 	}
-	if ring != nil && kind != frameCall {
+	if ring != nil && kind == frameBatch {
 		// The span covers write → acknowledged response: the remote
 		// handler has durably accepted the payload(s).
-		ring.RecordSpan(trace.NetSend, int(from), "", tc.MSet, sw.Began(), fmt.Sprintf("to=%d n=%d", to, n))
+		ring.RecordSpan(trace.NetSend, int(from), "", 0, sw.Began(), fmt.Sprintf("to=%d n=%d", to, n))
 	}
 	return r.body, nil
-}
-
-// dispatchLocal short-circuits a frame addressed to a site hosted by
-// this very instance: no socket, no codec, same contract and counters.
-func (t *TCP) dispatchLocal(kind byte, from, to clock.SiteID, payload []byte, batch [][]byte, n uint64) ([]byte, error) {
-	sw := stopwatch.Start()
-	t.mu.Lock()
-	h := t.handlers[to]
-	bh := t.batchHandlers[to]
-	t.mu.Unlock()
-	if h == nil && bh == nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownSite, to)
-	}
-	var resp []byte
-	var bytes uint64
-	switch kind {
-	case frameBatch:
-		for _, p := range batch {
-			bytes += uint64(len(p))
-		}
-		if bh != nil {
-			if err := bh(from, batch); err != nil {
-				return nil, err
-			}
-		} else {
-			for _, p := range batch {
-				if _, err := h(from, p); err != nil {
-					return nil, err
-				}
-			}
-		}
-	default:
-		if h == nil {
-			return nil, fmt.Errorf("%w: %v (no per-message handler)", ErrUnknownSite, to)
-		}
-		r, err := h(from, payload)
-		if err != nil {
-			return nil, err
-		}
-		resp = r
-		bytes = uint64(len(payload))
-	}
-	t.met.LatencySeconds.Observe(int64(sw.Elapsed()))
-	t.count(func(s *Stats) {
-		s.Delivered += n
-		s.Bytes += bytes
-		if kind == frameBatch {
-			s.Frames++
-		}
-	})
-	t.met.Delivered.Add(n)
-	t.met.Bytes.Add(bytes)
-	if kind == frameBatch {
-		t.met.Frames.Inc()
-	}
-	return resp, nil
 }
 
 // peer returns (creating if needed) the pool entry for an address.
@@ -665,9 +488,6 @@ func (p *tcpPeer) flushLoop() {
 // the socket down) fails the connection and every pending request.
 func (p *tcpPeer) readLoop(c net.Conn) {
 	defer p.t.wg.Done()
-	p.t.mu.Lock()
-	ring := p.t.ring
-	p.t.mu.Unlock()
 	br := bufio.NewReaderSize(c, 64<<10)
 	for {
 		f, err := readFrame(br)
@@ -680,7 +500,7 @@ func (p *tcpPeer) readLoop(c net.Conn) {
 		}
 		// A response carries the remote's causal stamp; merging it means
 		// the caller's next events order after the work the call caused.
-		ring.ObserveStamp(f.tc.Stamp)
+		p.t.ring.Load().ObserveStamp(f.stamp)
 		p.mu.Lock()
 		ch := p.pending[f.req]
 		delete(p.pending, f.req)
@@ -753,20 +573,16 @@ func (t *TCP) serveConn(c net.Conn) {
 	}()
 	br := bufio.NewReaderSize(c, 64<<10)
 	bw := bufio.NewWriterSize(c, 64<<10)
-	t.mu.Lock()
-	ring := t.ring
-	t.mu.Unlock()
 	for {
 		f, err := readFrame(br)
 		if err != nil {
 			return // EOF, codec mismatch, or torn frame: drop the conn
 		}
-		status, body := t.dispatchRemote(f)
+		status, body := t.serve(f)
 		// The response carries this process's causal stamp back, so the
 		// sender's later events order after work its frame caused here.
-		rtc := TraceContext{Stamp: ring.Stamp()}
 		buf := getFrameBuf()
-		b := appendFrameHeader(*buf, frameResp, f.req, f.to, f.from, rtc)
+		b := appendFrameHeader(*buf, frameResp, f.req, f.to, f.from, t.ring.Load().Stamp())
 		b = append(b, status)
 		b = append(b, body...)
 		finishFrame(b, 0)
@@ -784,86 +600,39 @@ func (t *TCP) serveConn(c net.Conn) {
 	}
 }
 
-// dispatchRemote runs one inbound frame against this instance's local
-// view: fault hooks first, then the destination handler.
-func (t *TCP) dispatchRemote(f frame) (status byte, body []byte) {
-	n := uint64(1)
-	t.mu.Lock()
-	partitioned := t.partition[f.from] != t.partition[f.to]
-	isDown := t.down[f.from] || t.down[f.to]
-	h := t.handlers[f.to]
-	bh := t.batchHandlers[f.to]
-	ring := t.ring
-	t.mu.Unlock()
+// serve runs one inbound frame against this instance's local view: the
+// fault check first, then the destination's handlers.
+func (t *TCP) serve(f frame) (status byte, body []byte) {
+	ring := t.ring.Load()
 	// Merge the sender's causal stamp before any handler records
 	// events, so everything this frame causes stamps after its sender.
-	ring.ObserveStamp(f.tc.Stamp)
-	if partitioned {
-		t.count(func(s *Stats) { s.Partitioned++ })
-		t.met.Partitioned.Inc()
-		return respPartitioned, nil
-	}
-	if isDown {
-		return respSiteDown, nil
-	}
-	if h == nil && bh == nil {
-		return respUnknownSite, []byte(fmt.Sprintf("%v", f.to))
-	}
-	var bytes uint64
+	ring.ObserveStamp(f.stamp)
+	var payloads [][]byte
 	switch f.kind {
+	case frameCall:
+		payloads = [][]byte{f.body}
 	case frameBatch:
-		payloads, _, err := splitBatchBody(f.body)
-		if err != nil {
+		var err error
+		if payloads, err = splitBatchBody(f.body); err != nil {
 			return respErr, []byte(err.Error())
 		}
-		n = uint64(len(payloads))
-		for _, p := range payloads {
-			bytes += uint64(len(p))
-		}
-		if bh != nil {
-			if err := bh(f.from, payloads); err != nil {
-				return respErr, []byte(err.Error())
-			}
-		} else {
-			for _, p := range payloads {
-				if _, err := h(f.from, p); err != nil {
-					return respErr, []byte(err.Error())
-				}
-			}
-		}
-	case frameSend, frameCall:
-		if h == nil {
-			return respUnknownSite, []byte(fmt.Sprintf("%v (no per-message handler)", f.to))
-		}
-		r, err := h(f.from, f.body)
-		if err != nil {
-			return respErr, []byte(err.Error())
-		}
-		body = r
-		bytes = uint64(len(f.body))
 	default:
 		return respErr, []byte(fmt.Sprintf("network: unknown frame kind %d", f.kind))
 	}
-	t.count(func(s *Stats) {
-		s.Delivered += n
-		s.Bytes += bytes
-		if f.kind == frameBatch {
-			s.Frames++
-		}
-	})
-	t.met.Delivered.Add(n)
-	t.met.Bytes.Add(bytes)
-	if f.kind == frameBatch {
-		t.met.Frames.Inc()
+	if err := t.fault(f.from, f.to, uint64(len(payloads))); errors.Is(err, ErrPartitioned) {
+		return respPartitioned, nil
+	} else if err != nil {
+		return respSiteDown, nil
 	}
-	if ring != nil && f.kind != frameCall {
-		ring.RecordMSetf(trace.NetRecv, int(f.to), "", f.tc.MSet, "from=%d n=%d", f.from, n)
+	body, err := t.dispatch(f.from, f.to, payloads, f.kind == frameCall)
+	switch {
+	case errors.Is(err, ErrUnknownSite):
+		return respUnknownSite, []byte(fmt.Sprintf("%v", f.to))
+	case err != nil:
+		return respErr, []byte(err.Error())
+	}
+	if ring != nil && f.kind == frameBatch {
+		ring.RecordMSetf(trace.NetRecv, int(f.to), "", 0, "from=%d n=%d", f.from, len(payloads))
 	}
 	return respOK, body
-}
-
-func (t *TCP) count(f func(*Stats)) {
-	t.mu.Lock()
-	f(&t.stats)
-	t.mu.Unlock()
 }

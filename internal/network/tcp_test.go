@@ -77,7 +77,7 @@ func TestTCPUnknownCodecVersionRejected(t *testing.T) {
 		t.Fatalf("raw dial: %v", err)
 	}
 	defer raw.Close()
-	bad := appendFrameHeader(nil, frameSend, 1, 9, 2, TraceContext{})
+	bad := appendFrameHeader(nil, frameCall, 1, 9, 2, 0)
 	finishFrame(bad, 0)
 	bad[0] = CodecVersion + 41 // future codec
 	if _, err := raw.Write(bad); err != nil {

@@ -21,11 +21,11 @@ func TestDeliveryStopLeaksNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sends, delivered atomic.Int64
-		d := NewDelivery(q, func(Message) error {
+		d := NewDelivery(q, func(ms []Message) error {
 			if sends.Add(1)%3 == 0 {
 				return errors.New("transient")
 			}
-			delivered.Add(1)
+			delivered.Add(int64(len(ms)))
 			return nil
 		}, time.Millisecond, 5*time.Millisecond)
 		d.SetWindow(4)

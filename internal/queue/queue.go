@@ -645,18 +645,17 @@ func (q *File) liveRecordsLocked() [][]byte {
 // This is the "persistently retry message delivery until successful"
 // contract of §2.2.
 //
-// With a window above one, each round drains up to that many messages:
-// they are pushed through the batch send function (or the single-message
-// send, in order) and every delivered message is acknowledged with one
-// AckBatch — a single journal flush — instead of one Peek/send/Ack cycle
-// per message.
+// Each round drains up to the window's worth of messages from the head
+// of the queue and pushes them through the send function as one frame,
+// all-or-nothing (a window of one sends frames of one).  A delivered
+// frame is acknowledged with one AckBatch — a single journal flush; a
+// failed one is retried whole, from the head.
 type Delivery struct {
-	q         Queue
-	send      func(Message) error
-	sendBatch func([]Message) error
-	window    int
-	backoff   time.Duration
-	maxWait   time.Duration
+	q       Queue
+	send    func([]Message) error
+	window  int
+	backoff time.Duration
+	maxWait time.Duration
 
 	mu      sync.Mutex
 	kick    chan struct{}
@@ -698,10 +697,11 @@ func (d *Delivery) SetTrace(r *trace.Ring, site, peer int) {
 	d.peer = peer
 }
 
-// NewDelivery creates a delivery agent draining q through send.  backoff
-// is the initial retry delay after a failed send; it doubles up to
-// maxWait.  Call Start to begin pumping and Stop to shut down.
-func NewDelivery(q Queue, send func(Message) error, backoff, maxWait time.Duration) *Delivery {
+// NewDelivery creates a delivery agent draining q through send, which
+// delivers one frame (the messages in FIFO order) or fails it whole.
+// backoff is the initial retry delay after a failed send; it doubles up
+// to maxWait.  Call Start to begin pumping and Stop to shut down.
+func NewDelivery(q Queue, send func([]Message) error, backoff, maxWait time.Duration) *Delivery {
 	if backoff <= 0 {
 		backoff = time.Millisecond
 	}
@@ -724,11 +724,6 @@ func (d *Delivery) SetWindow(n int) {
 	}
 	d.window = n
 }
-
-// SetBatchSend installs a batched send used whenever a round drains more
-// than one message; the whole batch either delivers or fails together.
-// Call before Start.
-func (d *Delivery) SetBatchSend(f func([]Message) error) { d.sendBatch = f }
 
 // Start launches the pump goroutine.
 func (d *Delivery) Start() {
@@ -771,19 +766,20 @@ func (d *Delivery) run() {
 			if d.ring != nil {
 				t0 = time.Now()
 			}
-			delivered, sendErr := d.sendRound(batch)
-			if len(delivered) > 0 {
-				if err := d.q.AckBatch(delivered); err != nil {
+			if err := d.send(batch); err == nil {
+				ids := make([]uint64, len(batch))
+				for i, m := range batch {
+					ids[i] = m.ID
+				}
+				if err := d.q.AckBatch(ids); err != nil {
 					return
 				}
-				d.met.BatchSize.Observe(int64(len(delivered)))
+				d.met.BatchSize.Observe(int64(len(batch)))
 				if d.ring != nil {
 					d.ring.RecordSpan(trace.Flush, d.site, "", 0, t0,
-						fmt.Sprintf("to=%d n=%d", d.peer, len(delivered)))
+						fmt.Sprintf("to=%d n=%d", d.peer, len(batch)))
 				}
 				wait = d.backoff
-			}
-			if sendErr == nil {
 				continue
 			}
 			d.met.Retries.Inc()
@@ -827,30 +823,4 @@ func (d *Delivery) run() {
 		case <-timer.C:
 		}
 	}
-}
-
-// sendRound pushes one batch through the transport and reports which
-// message IDs were delivered, plus the first error.  With a batch send
-// installed, multi-message rounds deliver or fail as one frame;
-// otherwise messages go out one at a time, stopping at the first
-// failure so FIFO order holds.
-func (d *Delivery) sendRound(batch []Message) ([]uint64, error) {
-	if d.sendBatch != nil && len(batch) > 1 {
-		if err := d.sendBatch(batch); err != nil {
-			return nil, err
-		}
-		ids := make([]uint64, len(batch))
-		for i, m := range batch {
-			ids[i] = m.ID
-		}
-		return ids, nil
-	}
-	var ids []uint64
-	for _, m := range batch {
-		if err := d.send(m); err != nil {
-			return ids, err
-		}
-		ids = append(ids, m.ID)
-	}
-	return ids, nil
 }

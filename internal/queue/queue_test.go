@@ -302,7 +302,7 @@ func TestDeliveryRetriesUntilSuccess(t *testing.T) {
 	var fails atomic.Int32
 	fails.Store(3)
 	var delivered atomic.Int32
-	d := NewDelivery(q, func(m Message) error {
+	d := NewDelivery(q, func([]Message) error {
 		if fails.Add(-1) >= 0 {
 			return errors.New("link down")
 		}
@@ -326,15 +326,30 @@ func TestDeliveryRetriesUntilSuccess(t *testing.T) {
 	}
 }
 
+// TestDeliveryPreservesOrder drains 20 messages through a window of
+// one while every third send fails: each frame carries one message, a
+// failed frame is retried whole before anything behind it, and the
+// deliveries come out in FIFO order.
 func TestDeliveryPreservesOrder(t *testing.T) {
 	q := NewMem()
 	defer q.Close()
+	type attempt struct {
+		id uint64
+		ok bool
+	}
 	var mu sync.Mutex
-	var got []uint64
-	d := NewDelivery(q, func(m Message) error {
+	var attempts []attempt
+	d := NewDelivery(q, func(ms []Message) error {
 		mu.Lock()
-		got = append(got, m.ID)
-		mu.Unlock()
+		defer mu.Unlock()
+		if len(ms) != 1 {
+			t.Errorf("window 1 sent a frame of %d messages", len(ms))
+		}
+		a := attempt{id: ms[0].ID, ok: (len(attempts)+1)%3 != 0}
+		attempts = append(attempts, a)
+		if !a.ok {
+			return errors.New("link down")
+		}
 		return nil
 	}, time.Millisecond, time.Millisecond)
 	for i := uint64(1); i <= 20; i++ {
@@ -349,6 +364,14 @@ func TestDeliveryPreservesOrder(t *testing.T) {
 	d.Stop()
 	mu.Lock()
 	defer mu.Unlock()
+	var got []uint64
+	for i, a := range attempts {
+		if a.ok {
+			got = append(got, a.id)
+		} else if i+1 < len(attempts) && attempts[i+1].id != a.id {
+			t.Fatalf("failed frame %d was followed by %d, want it retried first", a.id, attempts[i+1].id)
+		}
+	}
 	if len(got) != 20 {
 		t.Fatalf("delivered %d messages, want 20", len(got))
 	}
@@ -362,7 +385,7 @@ func TestDeliveryPreservesOrder(t *testing.T) {
 func TestDeliveryStopIsIdempotentAndPrompt(t *testing.T) {
 	q := NewMem()
 	defer q.Close()
-	d := NewDelivery(q, func(Message) error { return errors.New("always fails") }, time.Millisecond, time.Second)
+	d := NewDelivery(q, func([]Message) error { return errors.New("always fails") }, time.Millisecond, time.Second)
 	d.Start()
 	q.Enqueue(Message{ID: 1})
 	d.Kick()
@@ -490,14 +513,7 @@ func TestDeliveryWindowBatchesSendsAndAcks(t *testing.T) {
 	defer q.Close()
 	var mu sync.Mutex
 	var frames [][]uint64
-	d := NewDelivery(q, func(m Message) error {
-		mu.Lock()
-		frames = append(frames, []uint64{m.ID})
-		mu.Unlock()
-		return nil
-	}, time.Millisecond, 4*time.Millisecond)
-	d.SetWindow(8)
-	d.SetBatchSend(func(ms []Message) error {
+	d := NewDelivery(q, func(ms []Message) error {
 		ids := make([]uint64, len(ms))
 		for i, m := range ms {
 			ids[i] = m.ID
@@ -506,7 +522,8 @@ func TestDeliveryWindowBatchesSendsAndAcks(t *testing.T) {
 		frames = append(frames, ids)
 		mu.Unlock()
 		return nil
-	})
+	}, time.Millisecond, 4*time.Millisecond)
+	d.SetWindow(8)
 	batch := make([]Message, 32)
 	for i := range batch {
 		batch[i] = Message{ID: uint64(i + 1)}
@@ -555,7 +572,7 @@ func TestDeliveryKickResetsBackoff(t *testing.T) {
 	defer q.Close()
 	var gate atomic.Bool
 	var delivered atomic.Int32
-	d := NewDelivery(q, func(m Message) error {
+	d := NewDelivery(q, func([]Message) error {
 		if !gate.Load() {
 			return errors.New("link down")
 		}
