@@ -7,12 +7,12 @@
 GO ?= go
 
 # Packages whose goroutine/lock structure warrants the race detector on
-# every run: the lock manager, the simulated network, the stable queues,
-# the group-commit WAL, the transaction core and its write path, the
-# replica state machine, the metrics registry every one of them writes
-# concurrently, the replicated sequencer, and the four method engines
-# driving the write path.
-RACE_PKGS := ./internal/lock/... ./internal/network/... ./internal/queue/... ./internal/wal/... ./internal/core/... ./internal/replica/... ./internal/metrics/... ./internal/seqrep/... ./internal/ordup/... ./internal/commu/... ./internal/ritu/... ./internal/compe/...
+# every run: the lock manager, the striped store, the simulated network,
+# the stable queues, the group-commit WAL, the transaction core and its
+# write path, the replica state machine, the metrics registry every one
+# of them writes concurrently, the replicated sequencer, and the four
+# method engines driving the write path.
+RACE_PKGS := ./internal/lock/... ./internal/storage/... ./internal/network/... ./internal/queue/... ./internal/wal/... ./internal/core/... ./internal/replica/... ./internal/metrics/... ./internal/seqrep/... ./internal/ordup/... ./internal/commu/... ./internal/ritu/... ./internal/compe/...
 
 .PHONY: all build test race vet esrvet check bench bench-compare node smoke-node smoke-chaos fuzz clean
 

@@ -341,8 +341,8 @@ func (c *Cluster) Query(site int, objects []string, eps Limit) (Result, error) {
 // Read serves a read at the cluster's default consistency level
 // (Config.Consistency) from the site's local replica, entirely
 // lock-free: the level picks a snapshot timestamp, the SAFETIME
-// watermark parks reads the replica cannot yet serve, and the
-// multi-version store answers them.
+// watermark parks reads the replica cannot yet serve, and the site's
+// version chains answer them.
 func (c *Cluster) Read(site int, objects ...string) (Result, error) {
 	return core.ReadAtSite(c.eng.Cluster(), clock.SiteID(site), objects, c.readOpts)
 }
@@ -397,7 +397,7 @@ func (c *Cluster) GCVersions() int {
 	cl := c.eng.Cluster()
 	for _, id := range cl.SiteIDs() {
 		if s := cl.Site(id); s != nil {
-			n += s.MV.GC(s.SafeTime())
+			n += s.Store.GC(s.SafeTime())
 		}
 	}
 	return n

@@ -138,6 +138,51 @@ func TestPartitionAndHeal(t *testing.T) {
 	}
 }
 
+// TestRITUMultiVersionValueAndConverged checks that a multi-version
+// RITU site's value is its chain head and that Converged sees a site
+// missing a write: both read the one store every method writes.
+func TestRITUMultiVersionValueAndConverged(t *testing.T) {
+	c := open(t, Config{Replicas: 3, Method: RITUMultiVersion, Seed: 2})
+	if _, err := c.Update(1, Write("x", 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Quiesce(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for site := 1; site <= 3; site++ {
+		if got := c.Value(site, "x"); got.Num != 5 {
+			t.Errorf("site %d x = %v after quiescence, want 5", site, got)
+		}
+	}
+	c.Partition([]int{1, 2}, []int{3})
+	if _, err := c.Update(1, Write("x", 7)); err != nil {
+		t.Fatalf("Update during partition: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if res, err := c.ReadLevel(2, LevelEventual, "x"); err == nil && res.Value("x").Num == 7 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := c.Value(2, "x"); got.Num != 7 {
+		t.Errorf("site 2 x = %v once the write landed, want 7", got)
+	}
+	if ok, _ := c.Converged(); ok {
+		t.Errorf("Converged() = true while site 3 is partitioned and missing a write")
+	}
+	c.Heal()
+	if err := c.Quiesce(5 * time.Second); err != nil {
+		t.Fatalf("Quiesce after heal: %v", err)
+	}
+	if got := c.Value(3, "x"); got.Num != 7 {
+		t.Errorf("site 3 x = %v after heal, want 7", got)
+	}
+	if ok, obj := c.Converged(); !ok {
+		t.Errorf("diverged on %q after heal", obj)
+	}
+}
+
 func TestEpsilonBoundsRespected(t *testing.T) {
 	c := open(t, Config{
 		Replicas: 3, Method: ORDUP, Seed: 3,
@@ -293,22 +338,19 @@ func TestSiteCrashRecovery(t *testing.T) {
 			if err := c.Quiesce(30 * time.Second); err != nil {
 				t.Fatalf("Quiesce after restart: %v", err)
 			}
-			switch m {
-			case RITUMultiVersion:
-				s := c.Engine().Cluster().Site(3)
-				if got := len(s.MV.Versions("x")); got != 2 {
+			want := int64(30)
+			if m == RITU || m == RITUMultiVersion {
+				want = 20 // last write wins
+			}
+			if got := c.Value(3, "x"); got.Num != want {
+				t.Errorf("site 3 x = %v after recovery, want %d", got, want)
+			}
+			if ok, obj := c.Converged(); !ok {
+				t.Errorf("diverged on %q", obj)
+			}
+			if m == RITUMultiVersion {
+				if got := len(c.Engine().Cluster().Site(3).Store.Versions("x")); got != 2 {
 					t.Errorf("site 3 has %d versions after recovery, want 2", got)
-				}
-			default:
-				want := int64(30)
-				if m == RITU {
-					want = 20 // last write wins
-				}
-				if got := c.Value(3, "x"); got.Num != want {
-					t.Errorf("site 3 x = %v after recovery, want %d", got, want)
-				}
-				if ok, obj := c.Converged(); !ok {
-					t.Errorf("diverged on %q", obj)
 				}
 			}
 		})
@@ -394,7 +436,7 @@ func TestQueryAtFacade(t *testing.T) {
 	if err := c.Quiesce(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	vs := c.Engine().Cluster().Site(2).MV.Versions("doc")
+	vs := c.Engine().Cluster().Site(2).Store.Versions("doc")
 	firstTS := vs[0].TS
 	if _, err := c.Update(1, Write("doc", 2)); err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func main() {
 	re := cluster.Engine().(*ritu.Engine)
 	site := cluster.Engine().Cluster().Site(2)
 	fmt.Println("version chain at site 2 (all replicas hold the identical chain):")
-	for _, v := range site.MV.Versions("post/announcement") {
+	for _, v := range site.Store.Versions("post/announcement") {
 		fmt.Printf("  ts=%v  revision=%v\n", v.TS, v.Val)
 	}
 	fmt.Println("VTNC:", re.VTNC())

@@ -10,12 +10,13 @@ import (
 // through its accessors.  Two layers hash a key to a slot, and both
 // break the same way when the resolution is duplicated by hand:
 //
-//   - The sharded stores: Store and MVStore hash each object to a
-//     stripe (fnv-1a over the object name).  Any code that indexes the
-//     `stripes` slice by hand duplicates the hash, and a mismatch
-//     silently splits one object's state across two stripes — two
-//     mutexes, two cell maps, lost updates.  Resolution is
-//     concentrated in `stripe` (whole-store scans in `forEachStripe`).
+//   - The striped store: a site has one Store (MVStore is an alias of
+//     it), which hashes each object to a stripe (fnv-1a over the object
+//     name).  Any code that indexes the `stripes` slice by hand
+//     duplicates the hash, and a mismatch silently splits one object's
+//     version chain across two stripes — two mutexes, two chains, lost
+//     updates.  Resolution is concentrated in `stripe` (whole-store
+//     scans in `forEachStripe`).
 //
 //   - The cluster's ordering domains: Cluster carves the keyspace into
 //     shards, each with its own sequencer, seqrep client, per-site
@@ -37,15 +38,13 @@ var StripeAccess = &Analyzer{
 }
 
 // stripedStoreTypes are the named types whose stripes field is private
-// to the accessors.
-var stripedStoreTypes = map[string]bool{"Store": true, "MVStore": true}
+// to the accessors.  Aliases resolve to the type they name.
+var stripedStoreTypes = map[string]bool{"Store": true}
 
 // stripeAccessors are the only functions allowed to touch the field:
-// the constructors that build the stripe array and the accessors every
+// the constructor that builds the stripe array and the accessors every
 // other method resolves through.
-var stripeAccessors = map[string]bool{
-	"stripe": true, "forEachStripe": true, "NewStore": true, "NewMVStore": true,
-}
+var stripeAccessors = map[string]bool{"stripe": true, "forEachStripe": true, "NewStore": true}
 
 // clusterShardFields maps each per-shard field of core.Cluster to the
 // index depth at which a shard slot is resolved.  seqs and seqClients
@@ -149,13 +148,13 @@ func runStripeAccess(p *Package) []Diagnostic {
 	return diags
 }
 
-// namedTypeName returns the bare name of the (possibly pointered) named
-// type, or "".
+// namedTypeName returns the bare name of the (possibly pointered or
+// aliased) named type, or "".
 func namedTypeName(t types.Type) string {
-	if ptr, ok := t.(*types.Pointer); ok {
+	if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	if named, ok := t.(*types.Named); ok {
+	if named, ok := types.Unalias(t).(*types.Named); ok {
 		return named.Obj().Name()
 	}
 	return ""

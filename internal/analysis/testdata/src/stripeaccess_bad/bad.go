@@ -1,44 +1,48 @@
 // Package stripeaccess_bad violates rule A7: code that indexes the
-// sharded stores' stripe arrays by hand, duplicating the hash-to-stripe
+// striped store's stripe array by hand, duplicating the hash-to-stripe
 // mapping the accessors single-source.
 package stripeaccess_bad
 
 import "sync"
 
-// MVStore mirrors the sharded multi-version store.
-type MVStore struct {
-	stripes []*mvStripe
+// Store mirrors the striped store: objects hash to stripes, each with
+// its own mutex and version chains.
+type Store struct {
+	stripes []*chainStripe
 }
 
-type mvStripe struct {
+// MVStore is the store under an older name; an alias changes nothing.
+type MVStore = Store
+
+type chainStripe struct {
 	mu   sync.RWMutex
 	objs map[string][]int64
 }
 
-// NewMVStore builds the stripe array — constructors are allowlisted.
-func NewMVStore(n int) *MVStore {
-	m := &MVStore{stripes: make([]*mvStripe, n)}
-	for i := range m.stripes {
-		m.stripes[i] = &mvStripe{objs: make(map[string][]int64)}
+// NewStore builds the stripe array — constructors are allowlisted.
+func NewStore(n int) *Store {
+	s := &Store{stripes: make([]*chainStripe, n)}
+	for i := range s.stripes {
+		s.stripes[i] = &chainStripe{objs: make(map[string][]int64)}
 	}
-	return m
+	return s
 }
 
 // stripe is the accessor readLatest should have used.
-func (m *MVStore) stripe(object string) *mvStripe {
+func (s *Store) stripe(object string) *chainStripe {
 	h := uint32(2166136261)
 	for i := 0; i < len(object); i++ {
 		h ^= uint32(object[i])
 		h *= 16777619
 	}
-	return m.stripes[int(h%uint32(len(m.stripes)))]
+	return s.stripes[int(h%uint32(len(s.stripes)))]
 }
 
 // readLatest resolves the stripe by hand with a different hash than the
 // accessor: reads and writes of the same object land on different
 // stripes.
-func readLatest(m *MVStore, object string) int64 {
-	st := m.stripes[len(object)%len(m.stripes)] // want A7 A7
+func readLatest(s *Store, object string) int64 {
+	st := s.stripes[len(object)%len(s.stripes)] // want A7 A7
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	versions := st.objs[object]
@@ -49,7 +53,7 @@ func readLatest(m *MVStore, object string) int64 {
 }
 
 // countVersions ranges the field directly instead of going through
-// forEachStripe.
+// forEachStripe, reaching the store through its alias.
 func countVersions(m *MVStore) int {
 	n := 0
 	for _, st := range m.stripes { // want A7

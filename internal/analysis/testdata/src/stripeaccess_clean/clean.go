@@ -6,28 +6,28 @@ package stripeaccess_clean
 
 import "sync"
 
-// Store mirrors the sharded single-version store: objects hash to
-// stripes, each with its own mutex and cell map.
+// Store mirrors the striped store: objects hash to stripes, each with
+// its own mutex and version chains.
 type Store struct {
-	stripes []*storeStripe
+	stripes []*chainStripe
 }
 
-type storeStripe struct {
-	mu    sync.RWMutex
-	cells map[string]int64
+type chainStripe struct {
+	mu   sync.RWMutex
+	objs map[string][]int64
 }
 
 // NewStore builds the stripe array — constructors are allowlisted.
 func NewStore(n int) *Store {
-	s := &Store{stripes: make([]*storeStripe, n)}
+	s := &Store{stripes: make([]*chainStripe, n)}
 	for i := range s.stripes {
-		s.stripes[i] = &storeStripe{cells: make(map[string]int64)}
+		s.stripes[i] = &chainStripe{objs: make(map[string][]int64)}
 	}
 	return s
 }
 
 // stripe is the accessor every method resolves objects through.
-func (s *Store) stripe(object string) *storeStripe {
+func (s *Store) stripe(object string) *chainStripe {
 	h := uint32(2166136261)
 	for i := 0; i < len(object); i++ {
 		h ^= uint32(object[i])
@@ -37,27 +37,31 @@ func (s *Store) stripe(object string) *storeStripe {
 }
 
 // forEachStripe visits every stripe in slot order.
-func (s *Store) forEachStripe(f func(*storeStripe)) {
+func (s *Store) forEachStripe(f func(*chainStripe)) {
 	for _, st := range s.stripes {
 		f(st)
 	}
 }
 
-// get resolves through the accessor, the idiom A7 enforces.
+// get resolves through the accessor, the idiom A7 enforces, and reads
+// the chain head.
 func get(s *Store, object string) int64 {
 	st := s.stripe(object)
 	st.mu.RLock()
-	v := st.cells[object]
-	st.mu.RUnlock()
-	return v
+	defer st.mu.RUnlock()
+	vs := st.objs[object]
+	if len(vs) == 0 {
+		return 0
+	}
+	return vs[len(vs)-1]
 }
 
 // objects scans through forEachStripe rather than ranging the field.
 func objects(s *Store) []string {
 	var out []string
-	s.forEachStripe(func(st *storeStripe) {
+	s.forEachStripe(func(st *chainStripe) {
 		st.mu.RLock()
-		for obj := range st.cells {
+		for obj := range st.objs {
 			out = append(out, obj)
 		}
 		st.mu.RUnlock()

@@ -531,10 +531,11 @@ func (e *Engine) serve(site clock.SiteID, payload []byte) ([]byte, error) {
 			}
 		}
 	case "qread":
-		resp.Value = s.Store.Get(req.Object)
-		resp.Version = s.Store.Version(req.Object)
+		// A quorum copy's version number is its chain head's time.
+		v, _ := s.Store.ReadAt(req.Object, clock.Latest)
+		resp.Value, resp.Version = v.Val, v.TS.Time
 	case "qwrite":
-		s.Store.SetVersioned(req.Object, req.Value, req.Version)
+		s.Store.InstallNewer(req.Object, clock.Timestamp{Time: req.Version}, req.Value)
 	default:
 		return nil, fmt.Errorf("coherency: unknown request %q", req.Kind)
 	}

@@ -392,9 +392,9 @@ func (e *Engine) applyForward(s *replica.Site, sl *siteLog, m et.MSet) error {
 		}
 	}
 	prevs := make([]op.Value, 0, len(m.Ops))
-	e.method.Apply(s, m, func(s *replica.Site, o op.Op) (op.Value, bool) {
+	e.method.Apply(s, m, func(s *replica.Site, o op.Op) {
 		prevs = append(prevs, s.Store.Get(o.Object))
-		return s.Store.Apply(o), true
+		s.Store.ApplyAt(o, m.TS)
 	})
 	sl.entries = append(sl.entries, logEntry{m: m, prevs: prevs})
 	sl.applied[m.ET] = true
@@ -464,21 +464,21 @@ func (e *Engine) applyCompensation(s *replica.Site, sl *siteLog, m et.MSet) erro
 	if e.commutesWithSuffix(sl.entries[idx+1:], target.m.Ops) {
 		// "If all MSets on the log are commutative, then COMPE simply
 		// runs the compensation MSet and continues."
-		e.undoEntry(s, target)
+		e.undoEntry(s, target, m.TS)
 		e.countUndo(len(target.m.Ops), 0)
 	} else {
 		// Full rollback: undo the suffix in reverse, compensate the
 		// target, replay the suffix re-recording overwritten values.
 		suffix := sl.entries[idx+1:]
 		for i := len(suffix) - 1; i >= 0; i-- {
-			e.undoEntry(s, suffix[i])
+			e.undoEntry(s, suffix[i], m.TS)
 		}
-		e.undoEntry(s, target)
+		e.undoEntry(s, target, m.TS)
 		redone := 0
 		for i := range suffix {
 			for j, o := range suffix[i].m.Ops {
 				suffix[i].prevs[j] = s.Store.Get(o.Object)
-				s.Store.Apply(o)
+				s.Store.ApplyAt(o, m.TS)
 				redone++
 			}
 		}
@@ -490,22 +490,6 @@ func (e *Engine) applyCompensation(s *replica.Site, sl *siteLog, m et.MSet) erro
 	}
 	releaseRisk(sl, op.Objects(target.m.Ops, false))
 	sl.entries = append(sl.entries[:idx], sl.entries[idx+1:]...)
-	// Refresh the multi-version chains with the post-compensation values
-	// at the compensation MSet's timestamp (§4.2's "adding another
-	// version bearing the previous value"), so snapshot reads after the
-	// rollback converge with the single-version store.
-	touched := make(map[string]bool)
-	for _, o := range target.m.Ops {
-		touched[o.Object] = true
-	}
-	for _, en := range sl.entries[idx:] {
-		for _, o := range en.m.Ops {
-			touched[o.Object] = true
-		}
-	}
-	for obj := range touched {
-		s.MV.InstallMonotone(obj, m.TS, s.Store.Get(obj))
-	}
 	e.truncateLocked(sl)
 	e.c.SiteMetrics(s.ID).Compensations.Inc()
 	e.c.Trace.RecordMSetf(trace.Compensate, int(s.ID), m.Target.String(), m.MsgID(),
@@ -513,14 +497,16 @@ func (e *Engine) applyCompensation(s *replica.Site, sl *siteLog, m et.MSet) erro
 	return nil
 }
 
-// undoEntry applies the compensation of each op in reverse order.
-func (e *Engine) undoEntry(s *replica.Site, en logEntry) {
+// undoEntry applies the compensation of each op in reverse order, at the
+// compensation MSet's timestamp ts: §4.2's "adding another version with
+// the same timestamp but bearing the previous value".
+func (e *Engine) undoEntry(s *replica.Site, en logEntry, ts clock.Timestamp) {
 	for i := len(en.m.Ops) - 1; i >= 0; i-- {
 		comp, ok := en.m.Ops[i].Compensate(en.prevs[i])
 		if !ok {
 			continue // admissibility check makes this unreachable
 		}
-		s.Store.Apply(comp)
+		s.Store.ApplyAt(comp, ts)
 	}
 }
 

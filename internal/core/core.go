@@ -526,7 +526,7 @@ func (c *Cluster) Setup(factory func(s *replica.Site) replica.ApplyFunc) {
 				if len(records) == 0 {
 					continue
 				}
-				applied[sh] = wal.RebuildVersioned(s.Store, s.MV, records)
+				applied[sh] = wal.Rebuild(s.Store, records)
 				s.RestoreEpochs(records)
 				c.recovered[id] = append(c.recovered[id], records...)
 				recoveredAny = true
@@ -1016,9 +1016,9 @@ func (c *Cluster) drained() bool {
 	return true
 }
 
-// Converged checks that every site holds the identical value for every
-// object any site knows, using single-version stores.  It returns the
-// first divergent object found.
+// Converged checks that every site holds the identical value (chain
+// head) for every object any site knows.  It returns the first divergent
+// object found.
 func (c *Cluster) Converged() (bool, string) {
 	sites := c.sitesSnapshot()
 	objs := make(map[string]bool)

@@ -78,7 +78,7 @@ func (o ReadOptions) withDefaults() ReadOptions {
 // gate, and a read past ε drains and re-reads the newest local state,
 // running "in the global order" (§3.1).
 //
-// Snapshot reads pin the MVStore at the chosen timestamp for their
+// Snapshot reads pin the site's store at the chosen timestamp for their
 // duration, so concurrent version GC never prunes state from under
 // them.
 func ReadAtSite(c *Cluster, site clock.SiteID, objects []string, o ReadOptions) (et.QueryResult, error) {
@@ -150,8 +150,8 @@ func ReadAtSite(c *Cluster, site clock.SiteID, objects []string, o ReadOptions) 
 	}
 	latest := ts == clock.Latest || (o.At.IsZero() && (o.Level == consistency.Strong || o.Level == consistency.Eventual))
 	if !latest && !ts.IsZero() {
-		pin := s.MV.Pin(ts)
-		defer s.MV.Unpin(pin)
+		pin := s.Store.Pin(ts)
+		defer s.Store.Unpin(pin)
 	}
 
 	// Under a Spec each charge must fit its object's own limit first.
@@ -183,17 +183,19 @@ func ReadAtSite(c *Cluster, site clock.SiteID, objects []string, o ReadOptions) 
 				c.Trace.Recordf(trace.QueryCharged, int(site), qid.String(), "obj=%s cost=%d", obj, cost)
 			}
 		}
-		switch {
-		case latest:
-			vals[obj] = latestRead(s, obj)
-		case o.At.IsZero():
-			vals[obj] = snapshotRead(s, obj, ts)
-		default:
-			// An explicit past timestamp reads the version chain alone:
-			// an object with no version at or below it did not exist yet.
-			v, _ := s.MV.ReadAt(obj, ts)
-			vals[obj] = v.Val
+		at := ts
+		if latest {
+			at = clock.Latest
 		}
+		v, ok := s.Store.ReadAt(obj, at)
+		if !ok && o.At.IsZero() {
+			// A snapshot with no version of the object at or below it
+			// answers with the head (an uncharged import above the cut).
+			// An explicit past timestamp reads the chain alone: an object
+			// with no version at or below it did not exist yet.
+			v.Val = s.Store.Get(obj)
+		}
+		vals[obj] = v.Val
 		c.RecordQueryRead(qid, obj)
 	}
 	c.Trace.RecordSpan(trace.ReadSnap, int(site), qid.String(), 0, snapStart,
@@ -223,29 +225,4 @@ func ReadAtSite(c *Cluster, site clock.SiteID, objects []string, o ReadOptions) 
 // the §2.1 error bound.
 func OverlapCost(s *replica.Site, object string, baseline uint64) int {
 	return s.Pending(object) + int(s.Epoch(object)-baseline)
-}
-
-// snapshotRead answers one object from the multi-version store at ts,
-// falling back to the single-version store for objects with no version
-// chain yet (pre-refactor recovery state, or coherency baselines that do
-// not dual-write versions).
-func snapshotRead(s *replica.Site, obj string, ts clock.Timestamp) op.Value {
-	if v, ok := s.MV.ReadAt(obj, ts); ok {
-		return v.Val
-	}
-	return s.Store.Get(obj)
-}
-
-// latestRead answers one object from the latest local state.  The
-// single-version store wins when it has ever seen the object; otherwise
-// the multi-version chain head serves methods whose state lives only
-// there (the paper's multi-version RITU).
-func latestRead(s *replica.Site, obj string) op.Value {
-	if s.Store.Has(obj) {
-		return s.Store.Get(obj)
-	}
-	if v, _, ok := s.MV.ReadLatest(obj); ok {
-		return v.Val
-	}
-	return op.Value{}
 }

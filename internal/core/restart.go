@@ -131,7 +131,7 @@ func (c *Cluster) RestartSite(id clock.SiteID, recover RecoverFunc) error {
 				shardRecs = append(shardRecs, m)
 			}
 		}
-		applied[sh] = wal.RebuildVersioned(site.Store, site.MV, shardRecs)
+		applied[sh] = wal.Rebuild(site.Store, shardRecs)
 		site.RestoreEpochs(shardRecs)
 	}
 	if err := site.Reload(); err != nil {

@@ -111,7 +111,7 @@ func TestSiteCrashRecoveryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := replica.NewSite(1, q2, lock.COMMU)
-	appliedBefore := wal.RebuildVersioned(s2.Store, nil, records)
+	appliedBefore := wal.Rebuild(s2.Store, records)
 	if !appliedBefore[m1.ET] {
 		t.Fatalf("WAL lost the applied MSet")
 	}

@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -315,38 +314,19 @@ func (p *Method) stage(staged map[string]op.Kind, ops []op.Op) error {
 	return nil
 }
 
-// Apply is the write path's apply kernel.  It applies m's ops with apply
-// (nil: to the site's store) and installs each updated object's last
-// value that apply reports, once, in the site's version chain at m.TS
-// (idempotent under redelivery).  It takes no lock: the site's apply
+// Apply is the write path's apply kernel.  Each of m's ops lands in the
+// site's store with one store call: through apply when the method has its
+// own install rule, else an update applies to the object's head and
+// installs at m.TS (Store.ApplyAt).  It takes no lock: the site's apply
 // scheduler runs every MSet naming an object in one serial group.  The
 // site notes m applied once its own bookkeeping has it.
-func (p *Method) Apply(s *replica.Site, m et.MSet, apply func(*replica.Site, op.Op) (op.Value, bool)) {
-	objs := op.Objects(m.Ops, false)
-	type version struct {
-		val op.Value
-		ok  bool
-	}
-	var buf [8]version // on the stack: a small MSet's apply allocates nothing here
-	vers := buf[:]
-	if len(objs) > len(buf) {
-		vers = make([]version, len(objs))
-	}
+func (p *Method) Apply(s *replica.Site, m et.MSet, apply func(*replica.Site, op.Op)) {
 	for _, o := range m.Ops {
-		var v op.Value
-		ok := true
-		if apply != nil {
-			v, ok = apply(s, o)
-		} else {
-			v = s.Store.Apply(o)
-		}
-		if ok && o.Kind.IsUpdate() {
-			vers[sort.SearchStrings(objs, o.Object)] = version{v, true}
-		}
-	}
-	for i, obj := range objs {
-		if vers[i].ok {
-			s.MV.InstallMonotone(obj, m.TS, vers[i].val)
+		switch {
+		case apply != nil:
+			apply(s, o)
+		case o.Kind.IsUpdate():
+			s.Store.ApplyAt(o, m.TS)
 		}
 	}
 }

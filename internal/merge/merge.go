@@ -97,7 +97,7 @@ func Merge(a, b []Entry) Result {
 		for _, o := range e.Ops {
 			res.Replayed++
 			if o.Kind == op.Write && !o.TS.IsZero() {
-				store.ApplyTimestamped(o)
+				store.InstallNewer(o.Object, o.TS, op.NumValue(o.Arg))
 			} else {
 				store.Apply(o)
 			}

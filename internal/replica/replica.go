@@ -89,10 +89,11 @@ type Metrics struct {
 type Site struct {
 	// ID is the site's identifier.
 	ID clock.SiteID
-	// Store is the single-version local store.
+	// Store is the site's one store: a version chain per object, whose
+	// head is the object's current value.
 	Store *storage.Store
-	// MV is the multi-version local store (used by RITU).
-	MV *storage.MVStore
+	// MV points at Store: the older name, which benchmark/ still uses.
+	MV *storage.Store
 	// Clock is the site's Lamport clock.
 	Clock *clock.Lamport
 	// Trace, when non-nil, receives receive/hold/apply events.  Set it
@@ -159,10 +160,11 @@ func NewShardedSite(id clock.SiteID, ins []queue.Queue) *Site {
 	if len(ins) == 0 {
 		panic("replica: site needs at least one inbound queue")
 	}
+	st := storage.NewStore()
 	s := &Site{
 		ID:        id,
-		Store:     storage.NewStore(),
-		MV:        storage.NewMVStore(),
+		Store:     st,
+		MV:        st,
 		Clock:     clock.NewLamport(id),
 		ins:       ins,
 		pending:   make(map[string]int),

@@ -42,6 +42,20 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// TestSiteHasOneStore checks that a site keeps one store of state: its
+// Store and MV fields name the same version chains, so a write through
+// either is the other's chain head.
+func TestSiteHasOneStore(t *testing.T) {
+	s := NewSite(1, queue.NewMem(), lock.ORDUP)
+	if s.Store == nil || s.Store != s.MV {
+		t.Fatalf("Site.Store = %p, Site.MV = %p: want one store", s.Store, s.MV)
+	}
+	s.Store.ApplyAt(op.WriteOp("x", 3), clock.Timestamp{Time: 1, Site: 1})
+	if v, _, ok := s.MV.ReadLatest("x"); !ok || v.Val.Num != 3 {
+		t.Errorf("MV head = %v ok=%v, want the Store write 3", v.Val, ok)
+	}
+}
+
 func TestReceiveAndApply(t *testing.T) {
 	var applied atomic.Int32
 	s := newTestSite(t, func(m et.MSet) error {

@@ -6,7 +6,7 @@
 // in any order.  Two modes follow the paper:
 //
 //   - SingleVersion: "An RITU update trying to overwrite a newer version
-//     is ignored" — the Thomas write rule over a single-version store.
+//     is ignored" — the Thomas write rule against each chain's head.
 //     "In these cases, there is no divergence since by definition all the
 //     reads request the latest version.  RITU reduces to COMMU."
 //   - MultiVersion: every update installs an immutable version; a visible
@@ -184,14 +184,14 @@ func (e *Engine) Query(site clock.SiteID, objects []string, eps divergence.Limit
 	}
 	qid := e.c.NextET(site)
 	counter := divergence.NewCounter(eps)
-	s.MV.SetVTNC(e.VTNC())
+	s.Store.SetVTNC(e.VTNC())
 	// Charge in sorted order so the accounting is deterministic across runs.
 	sorted := append([]string(nil), objects...)
 	sort.Strings(sorted)
 	vals := make(map[string]op.Value, len(sorted))
 	sm := e.c.SiteMetrics(site)
 	for _, obj := range sorted {
-		latest, beyond, ok := s.MV.ReadLatest(obj)
+		latest, beyond, ok := s.Store.ReadLatest(obj)
 		switch {
 		case !ok, !beyond: // a missing object reads as the zero Value
 			vals[obj] = latest.Val
@@ -204,7 +204,7 @@ func (e *Engine) Query(site clock.SiteID, objects []string, eps divergence.Limit
 		default:
 			// ε exhausted: "not allowing reading versions that are
 			// newer than VTNC".
-			vis, _ := s.MV.ReadVisible(obj)
+			vis, _ := s.Store.ReadVisible(obj)
 			vals[obj] = vis.Val
 			sm.QueryFallback.Inc()
 			e.c.Trace.Recordf(trace.QueryFallback, int(site), qid.String(), "obj=%s", obj)
@@ -250,7 +250,7 @@ func (e *Engine) GC() int {
 	vtnc := e.VTNC()
 	n := 0
 	for _, id := range e.c.SiteIDs() {
-		n += e.c.Site(id).MV.GC(vtnc)
+		n += e.c.Site(id).Store.GC(vtnc)
 	}
 	return n
 }
@@ -268,7 +268,7 @@ func (e *Engine) RestartSite(id clock.SiteID) error {
 			for _, m := range records {
 				for _, o := range m.Ops {
 					if o.Kind == op.Write {
-						s.MV.Install(o.Object, o.TS, op.NumValue(o.Arg))
+						s.Store.Install(o.Object, o.TS, op.NumValue(o.Arg))
 					}
 				}
 			}
@@ -313,18 +313,14 @@ func (e *Engine) settle(ts, oldest clock.Timestamp) {
 	}
 }
 
-// applyThomas applies a blind write under the Thomas write rule; only a
-// write that took effect lands in the version chain.
-func applyThomas(s *replica.Site, o op.Op) (op.Value, bool) {
-	if !s.Store.ApplyTimestamped(o) {
-		return op.Value{}, false
-	}
-	return s.Store.Get(o.Object), true
+// applyThomas installs a blind write at its timestamp under the Thomas
+// write rule: a write older than the object's head is ignored.
+func applyThomas(s *replica.Site, o op.Op) {
+	s.Store.InstallNewer(o.Object, o.TS, op.NumValue(o.Arg))
 }
 
 // installVersion installs a blind write as an immutable version at its
 // own timestamp.
-func installVersion(s *replica.Site, o op.Op) (op.Value, bool) {
-	s.MV.Install(o.Object, o.TS, op.NumValue(o.Arg))
-	return op.Value{}, false
+func installVersion(s *replica.Site, o op.Op) {
+	s.Store.Install(o.Object, o.TS, op.NumValue(o.Arg))
 }

@@ -76,10 +76,11 @@ func TestSingleVersionLastWriterWins(t *testing.T) {
 	}
 	// The surviving value must carry the globally newest write timestamp.
 	ref := e.Cluster().Site(1)
-	wts := ref.Store.WriteTS("x")
+	head, _ := ref.Store.ReadAt("x", clock.Latest)
+	wts := head.TS
 	for _, id := range e.Cluster().SiteIDs() {
-		if got := e.Cluster().Site(id).Store.WriteTS("x"); got != wts {
-			t.Errorf("site %v write TS %v != %v", id, got, wts)
+		if got, _ := e.Cluster().Site(id).Store.ReadAt("x", clock.Latest); got.TS != wts {
+			t.Errorf("site %v write TS %v != %v", id, got.TS, wts)
 		}
 	}
 }
@@ -102,12 +103,12 @@ func TestMultiVersionInstallsAndConverges(t *testing.T) {
 	wg.Wait()
 	quiesce(t, e)
 	// All sites hold identical version chains.
-	ref := e.Cluster().Site(1).MV.Versions("doc")
+	ref := e.Cluster().Site(1).Store.Versions("doc")
 	if len(ref) != 30 {
 		t.Fatalf("site 1 has %d versions, want 30", len(ref))
 	}
 	for _, id := range e.Cluster().SiteIDs()[1:] {
-		vs := e.Cluster().Site(id).MV.Versions("doc")
+		vs := e.Cluster().Site(id).Store.Versions("doc")
 		if len(vs) != len(ref) {
 			t.Fatalf("site %v has %d versions, want %d", id, len(vs), len(ref))
 		}
@@ -142,8 +143,8 @@ func TestVTNCAdvancesToStability(t *testing.T) {
 	// The VTNC must cover the newest version everywhere.
 	for _, id := range e.Cluster().SiteIDs() {
 		s := e.Cluster().Site(id)
-		s.MV.SetVTNC(e.VTNC())
-		if _, beyond, ok := s.MV.ReadLatest("x"); !ok || beyond {
+		s.Store.SetVTNC(e.VTNC())
+		if _, beyond, ok := s.Store.ReadLatest("x"); !ok || beyond {
 			t.Errorf("site %v: latest version beyond VTNC after quiescence", id)
 		}
 	}
@@ -168,7 +169,7 @@ func TestEpsilonGatesFreshReads(t *testing.T) {
 	}
 	// Give site 1's processor a moment to install locally.
 	deadline := time.Now().Add(time.Second)
-	for len(c.Site(1).MV.Versions("x")) < 2 && time.Now().Before(deadline) {
+	for len(c.Site(1).Store.Versions("x")) < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -210,7 +211,7 @@ func TestQueryBudgetSharedAcrossObjects(t *testing.T) {
 	c.Net.Partition([]clock.SiteID{1, core.SequencerSite}, []clock.SiteID{2})
 	e.Update(1, []op.Op{op.WriteOp("a", 2), op.WriteOp("b", 2)})
 	deadline := time.Now().Add(time.Second)
-	for len(c.Site(1).MV.Versions("b")) < 2 && time.Now().Before(deadline) {
+	for len(c.Site(1).Store.Versions("b")) < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	res, err := e.Query(1, []string{"a", "b"}, 1)
@@ -243,7 +244,7 @@ func TestQueryChargesInSortedOrder(t *testing.T) {
 	c.Net.Partition([]clock.SiteID{1, core.SequencerSite}, []clock.SiteID{2})
 	e.Update(1, []op.Op{op.WriteOp("a", 2), op.WriteOp("b", 2)})
 	deadline := time.Now().Add(time.Second)
-	for len(c.Site(1).MV.Versions("b")) < 2 && time.Now().Before(deadline) {
+	for len(c.Site(1).Store.Versions("b")) < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	for _, objs := range [][]string{{"a", "b"}, {"b", "a"}} {
@@ -337,7 +338,7 @@ func TestVTNCMonotone(t *testing.T) {
 	quiesce(t, e)
 	// Every version must be above the VTNC observed before it existed;
 	// verify the final chain is strictly ordered as a sanity check.
-	vs := e.Cluster().Site(1).MV.Versions("x")
+	vs := e.Cluster().Site(1).Store.Versions("x")
 	for i := 1; i < len(vs); i++ {
 		if !vs[i-1].TS.Less(vs[i].TS) {
 			t.Fatalf("version chain out of order at %d", i)
@@ -353,7 +354,7 @@ func TestQueryAtHistoricalSnapshot(t *testing.T) {
 			t.Fatalf("Update: %v", err)
 		}
 		quiesce(t, e)
-		vs := e.Cluster().Site(1).MV.Versions("x")
+		vs := e.Cluster().Site(1).Store.Versions("x")
 		stamps = append(stamps, vs[len(vs)-1].TS)
 	}
 	for i, ts := range stamps {

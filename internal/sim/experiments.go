@@ -494,7 +494,7 @@ func runE7(quick bool) (*tabular.Table, error) {
 			}
 			incSum += res.Inconsistency
 			s := re.Cluster().Site(1)
-			latest, beyond, ok := s.MV.ReadLatest("x")
+			latest, beyond, ok := s.Store.ReadLatest("x")
 			switch {
 			case res.Inconsistency > 0:
 				fresh++

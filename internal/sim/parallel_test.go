@@ -172,11 +172,11 @@ func peChainsMatchStore(t *testing.T, label string, c *core.Cluster) {
 		for _, obj := range s.Store.Objects() {
 			objs[obj] = true
 		}
-		for _, obj := range s.MV.Objects() {
+		for _, obj := range s.Store.Objects() {
 			objs[obj] = true
 		}
 		for obj := range objs {
-			v, _, ok := s.MV.ReadLatest(obj)
+			v, _, ok := s.Store.ReadLatest(obj)
 			if want := s.Store.Get(obj); !ok || !v.Val.Equal(want) {
 				t.Errorf("%s: site %d object %q: chain latest %v (ok=%v), store %v", label, id, obj, v.Val, ok, want)
 			}
@@ -278,7 +278,7 @@ func peHotKey(t *testing.T) {
 // hkDecrease describes the first version of the site's hot-object chain
 // that does not exceed its predecessor, or returns "".
 func hkDecrease(s *replica.Site) string {
-	chain := s.MV.Versions(hkObject)
+	chain := s.Store.Versions(hkObject)
 	for i := 1; i < len(chain); i++ {
 		if chain[i].Val.Num <= chain[i-1].Val.Num {
 			return fmt.Sprintf("%v at %v after %v at %v", chain[i].Val, chain[i].TS, chain[i-1].Val, chain[i-1].TS)

@@ -251,15 +251,15 @@ func TestWritePathGolden(t *testing.T) {
 				"healed applied [et1.4]: 1=true 2=true 3=true all=true",
 				"healed applied [et1.5]: 1=true 2=true 3=true all=true",
 				"healed vtnc=8.1",
-				"site1 store {}",
+				"site1 store {x=10 y=20 z=30}",
 				"site1 mv x: 1.1=1 2.1=3 7.1=10",
 				"site1 mv y: 2.1=2 8.1=20",
 				"site1 mv z: 3.1=4 8.1=30",
-				"site2 store {}",
+				"site2 store {x=10 y=20 z=30}",
 				"site2 mv x: 1.1=1 2.1=3 7.1=10",
 				"site2 mv y: 2.1=2 8.1=20",
 				"site2 mv z: 3.1=4 8.1=30",
-				"site3 store {}",
+				"site3 store {x=10 y=20 z=30}",
 				"site3 mv x: 1.1=1 2.1=3 7.1=10",
 				"site3 mv y: 2.1=2 8.1=20",
 				"site3 mv z: 3.1=4 8.1=30",
@@ -495,9 +495,9 @@ func runWriteScript(t *testing.T, tc writeCase) []string {
 	for _, s := range c.SiteIDs() {
 		site := c.Site(s)
 		logf("site%d store %s", s, valueList(site.Store.Snapshot()))
-		for _, obj := range site.MV.Objects() {
+		for _, obj := range site.Store.Objects() {
 			var vs []string
-			for _, v := range site.MV.Versions(obj) {
+			for _, v := range site.Store.Versions(obj) {
 				if tc.racy {
 					vs = append(vs, v.Val.String())
 				} else {

@@ -1,21 +1,26 @@
-// Package storage provides the per-site object stores used by the replica
+// Package storage provides the per-site object store used by the replica
 // layer.
 //
-// Store is a single-version store with optional timestamped overwrite
-// semantics (the Thomas write rule RITU's single-version mode needs,
-// §3.3: "An RITU update trying to overwrite a newer version is ignored").
-// MVStore is a multi-version store with a visible transaction number
-// counter (VTNC) after the Modular Synchronization Method the paper cites
-// for RITU's multi-version mode: versions at or below the VTNC are stable
-// and yield serializable reads; versions above it are visible only to
-// queries willing to pay inconsistency for freshness.
+// A site's state is one multi-version store: each object is a chain of
+// versions ordered by timestamp, and the chain head is the object's
+// current value.  Every write lands in the chain — an apply at an MSet's
+// timestamp, a blind write under the Thomas write rule (RITU's
+// single-version mode, §3.3: "An RITU update trying to overwrite a newer
+// version is ignored"), an immutable version at its own timestamp (RITU's
+// multi-version mode), or a compensation "adding another version with the
+// same timestamp but bearing the previous value" (§4.2).  A visible
+// transaction number counter (VTNC), after the Modular Synchronization
+// Method the paper cites for RITU's multi-version mode, splits the chain:
+// versions at or below it are stable and yield serializable reads;
+// versions above it are visible only to queries willing to pay
+// inconsistency for freshness.  Snapshot reads pin a timestamp so GC
+// keeps what they can see.
 //
-// Both stores shard their object maps into per-object stripes (fnv-hash
-// of the object name), each guarded by its own RWMutex, so the parallel
-// apply scheduler's workers touching different objects never contend on
-// a global store lock.  All access goes through the stripe accessor;
-// esrvet rule A7 flags code that reaches into the stripe slices
-// directly.
+// The store shards its chains into per-object stripes (fnv-hash of the
+// object name), each guarded by its own RWMutex, so the parallel apply
+// scheduler's workers touching different objects never contend on a
+// global store lock.  All access goes through the stripe accessor;
+// esrvet rule A7 flags code that reaches into the stripe slice directly.
 package storage
 
 import (
@@ -26,9 +31,9 @@ import (
 	"esr/internal/op"
 )
 
-// defaultStripes is the stripe count for both store kinds.  Sixteen
-// keeps per-stripe maps small while making same-stripe collisions between
-// objects that parallel apply groups touch rare.
+// defaultStripes is the store's stripe count.  Sixteen keeps per-stripe
+// maps small while making same-stripe collisions between objects that
+// parallel apply groups touch rare.
 const defaultStripes = 16
 
 // stripeIndex maps an object name to a stripe slot (fnv-1a, allocation
@@ -46,169 +51,7 @@ func stripeIndex(object string, n int) int {
 	return int(h % uint32(n))
 }
 
-// Store is a single-version object store.  The zero value is not usable;
-// call NewStore.  It is safe for concurrent use.
-type Store struct {
-	stripes []*storeStripe
-}
-
-// storeStripe holds the cells for the objects hashing to one stripe.
-type storeStripe struct {
-	mu    sync.RWMutex
-	cells map[string]cell
-}
-
-type cell struct {
-	val     op.Value
-	writeTS clock.Timestamp // timestamp of the last timestamped write
-}
-
-// NewStore returns an empty store.  Objects spring into existence with
-// the zero value on first access.
-func NewStore() *Store {
-	s := &Store{stripes: make([]*storeStripe, defaultStripes)}
-	for i := range s.stripes {
-		s.stripes[i] = &storeStripe{cells: make(map[string]cell)}
-	}
-	return s
-}
-
-// stripe is the accessor every method resolves objects through (A7).
-func (s *Store) stripe(object string) *storeStripe {
-	return s.stripes[stripeIndex(object, len(s.stripes))]
-}
-
-// forEachStripe visits every stripe in slot order (whole-store scans).
-func (s *Store) forEachStripe(f func(*storeStripe)) {
-	for _, st := range s.stripes {
-		f(st)
-	}
-}
-
-// Get returns the current value of the object (zero Value if never
-// written).
-func (s *Store) Get(object string) op.Value {
-	st := s.stripe(object)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.cells[object].val.Clone()
-}
-
-// Has reports whether the object has ever been written in this store.
-// Read paths use it to tell a genuine zero value from an object whose
-// state lives only in a multi-version side store.
-func (s *Store) Has(object string) bool {
-	st := s.stripe(object)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	_, ok := st.cells[object]
-	return ok
-}
-
-// Apply applies the operation to its object and returns the new value.
-// Read returns the current value unchanged.
-func (s *Store) Apply(o op.Op) op.Value {
-	if o.Kind == op.Read {
-		return s.Get(o.Object)
-	}
-	st := s.stripe(o.Object)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	c := st.cells[o.Object]
-	c.val = op.ApplyFull(o, c.val)
-	st.cells[o.Object] = c
-	return c.val.Clone()
-}
-
-// ApplyTimestamped applies a timestamped blind write under the Thomas
-// write rule: the write takes effect only if its timestamp is newer than
-// the object's last write timestamp.  It reports whether the write was
-// applied (false means it was ignored as stale).  Non-Write operations
-// are applied unconditionally, like Apply.
-func (s *Store) ApplyTimestamped(o op.Op) bool {
-	if o.Kind == op.Read {
-		return true
-	}
-	st := s.stripe(o.Object)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	c := st.cells[o.Object]
-	if o.Kind == op.Write && !o.TS.IsZero() {
-		if !c.writeTS.Less(o.TS) {
-			return false // stale write: ignore (Thomas write rule)
-		}
-		c.writeTS = o.TS
-	}
-	c.val = op.ApplyFull(o, c.val)
-	st.cells[o.Object] = c
-	return true
-}
-
-// SetVersioned installs a full value under a version number with
-// last-writer-wins semantics: the write takes effect only if version is
-// strictly newer than the object's current version.  Quorum voting
-// (weighted voting baselines) uses it to install version-stamped copies.
-func (s *Store) SetVersioned(object string, v op.Value, version uint64) bool {
-	st := s.stripe(object)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	c := st.cells[object]
-	if c.writeTS.Time >= version {
-		return false
-	}
-	c.writeTS = clock.Timestamp{Time: version}
-	c.val = v.Clone()
-	st.cells[object] = c
-	return true
-}
-
-// Version returns the object's current version number as installed by
-// SetVersioned (0 if never versioned).
-func (s *Store) Version(object string) uint64 {
-	st := s.stripe(object)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.cells[object].writeTS.Time
-}
-
-// WriteTS returns the timestamp of the last applied timestamped write to
-// the object (zero if none).
-func (s *Store) WriteTS(object string) clock.Timestamp {
-	st := s.stripe(object)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.cells[object].writeTS
-}
-
-// Objects returns the names of all objects that have been written, in
-// sorted order.
-func (s *Store) Objects() []string {
-	var out []string
-	s.forEachStripe(func(st *storeStripe) {
-		st.mu.RLock()
-		for k := range st.cells {
-			out = append(out, k)
-		}
-		st.mu.RUnlock()
-	})
-	sort.Strings(out)
-	return out
-}
-
-// Snapshot returns a deep copy of the store's contents.
-func (s *Store) Snapshot() map[string]op.Value {
-	out := make(map[string]op.Value)
-	s.forEachStripe(func(st *storeStripe) {
-		st.mu.RLock()
-		for k, c := range st.cells {
-			out[k] = c.val.Clone()
-		}
-		st.mu.RUnlock()
-	})
-	return out
-}
-
-// Version is one committed version of an object in an MVStore.
+// Version is one committed version of an object.
 type Version struct {
 	// TS is the version's timestamp; versions of an object are totally
 	// ordered by TS.
@@ -217,12 +60,12 @@ type Version struct {
 	Val op.Value
 }
 
-// MVStore is a multi-version object store with VTNC visibility control.
-// It is safe for concurrent use.  Version chains are sharded into
-// per-object stripes like Store; the VTNC is store-global and has its
-// own lock.
-type MVStore struct {
-	stripes []*mvStripe
+// Store is a site's multi-version object store.  The zero value is not
+// usable; call NewStore.  It is safe for concurrent use.  Version chains
+// are sharded into per-object stripes; the VTNC and the pin table are
+// store-global and have their own locks.
+type Store struct {
+	stripes []*chainStripe
 
 	vtncMu sync.RWMutex
 	vtnc   clock.Timestamp
@@ -232,32 +75,108 @@ type MVStore struct {
 	nextPin uint64
 }
 
-// mvStripe holds the version chains for the objects hashing to one
-// stripe.
-type mvStripe struct {
+// MVStore is Store under its older name, which benchmark/ still uses.
+type MVStore = Store
+
+// chainStripe holds the version chains for the objects hashing to one
+// stripe.  An object is in objs once it has a version.
+type chainStripe struct {
 	mu   sync.RWMutex
-	objs map[string][]Version // sorted ascending by TS
+	objs map[string]chain
 }
 
-// NewMVStore returns an empty multi-version store with a zero VTNC.
-func NewMVStore() *MVStore {
-	m := &MVStore{stripes: make([]*mvStripe, defaultStripes), pins: make(map[uint64]clock.Timestamp)}
-	for i := range m.stripes {
-		m.stripes[i] = &mvStripe{objs: make(map[string][]Version)}
-	}
-	return m
+// chain is one object's versions: the newest inline in the map entry, so
+// a latest read or an apply at the head costs one map lookup, and the
+// older ones below it.
+type chain struct {
+	head  Version
+	below []Version // ascending by TS, all older than head
 }
+
+// at returns the newest version at or below ts.
+func (c chain) at(ts clock.Timestamp) (Version, bool) {
+	if !ts.Less(c.head.TS) {
+		return c.head, true
+	}
+	i := sort.Search(len(c.below), func(i int) bool { return ts.Less(c.below[i].TS) })
+	if i == 0 {
+		return Version{}, false
+	}
+	return c.below[i-1], true
+}
+
+// NewStore returns an empty store with a zero VTNC.  Objects spring into
+// existence with the zero value on first write.
+func NewStore() *Store {
+	s := &Store{stripes: make([]*chainStripe, defaultStripes), pins: make(map[uint64]clock.Timestamp)}
+	for i := range s.stripes {
+		s.stripes[i] = &chainStripe{objs: make(map[string]chain)}
+	}
+	return s
+}
+
+// NewMVStore is NewStore under its older name, which benchmark/ still
+// uses.
+func NewMVStore() *Store { return NewStore() }
 
 // stripe is the accessor every method resolves objects through (A7).
-func (m *MVStore) stripe(object string) *mvStripe {
-	return m.stripes[stripeIndex(object, len(m.stripes))]
+func (s *Store) stripe(object string) *chainStripe {
+	return s.stripes[stripeIndex(object, len(s.stripes))]
 }
 
 // forEachStripe visits every stripe in slot order (whole-store scans).
-func (m *MVStore) forEachStripe(f func(*mvStripe)) {
-	for _, st := range m.stripes {
+func (s *Store) forEachStripe(f func(*chainStripe)) {
+	for _, st := range s.stripes {
 		f(st)
 	}
+}
+
+// Get returns the object's current value: its chain head, or the zero
+// Value if it was never written.
+func (s *Store) Get(object string) op.Value {
+	st := s.stripe(object)
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.objs[object].head.Val.Clone()
+}
+
+// Apply applies the operation to the object's head in place, keeping the
+// head's timestamp (the zero timestamp on an empty chain), and returns
+// the new value: ApplyAt at the zero timestamp, which no head is below.
+func (s *Store) Apply(o op.Op) op.Value { return s.ApplyAt(o, clock.Timestamp{}) }
+
+// ApplyAt applies the operation to the object's head and installs the
+// result at ts by InstallMonotone's rule, all under one stripe lock.  It
+// returns the new value.  Read returns the current value unchanged.
+func (s *Store) ApplyAt(o op.Op, ts clock.Timestamp) op.Value {
+	if o.Kind == op.Read {
+		return s.Get(o.Object)
+	}
+	st := s.stripe(o.Object)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	c, found := st.objs[o.Object]
+	v := op.ApplyFull(o, c.head.Val)
+	st.installMonotone(o.Object, c, found, ts, v)
+	return v.Clone()
+}
+
+// InstallNewer installs a full value at ts under the Thomas write rule:
+// only if ts is newer than the object's head.  It reports whether the
+// value was installed (false means it was ignored as stale).  RITU's
+// single-version mode, WAL replay and the merge protocol install
+// timestamped blind writes through it; the quorum baselines install
+// version-numbered copies at Timestamp{Time: version}.
+func (s *Store) InstallNewer(object string, ts clock.Timestamp, val op.Value) bool {
+	st := s.stripe(object)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	c, found := st.objs[object]
+	if found && !c.head.TS.Less(ts) {
+		return false // stale write: ignore (Thomas write rule)
+	}
+	st.installMonotone(object, c, found, ts, val)
+	return true
 }
 
 // Install inserts a version.  Installing a version with a timestamp the
@@ -266,21 +185,24 @@ func (m *MVStore) forEachStripe(f func(*mvStripe)) {
 // same timestamp but bearing the previous value".  Install is idempotent
 // for identical (ts, val) pairs, giving at-least-once MSet delivery a
 // safe landing.
-func (m *MVStore) Install(object string, ts clock.Timestamp, val op.Value) {
-	st := m.stripe(object)
+func (s *Store) Install(object string, ts clock.Timestamp, val op.Value) {
+	st := s.stripe(object)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	vs := st.objs[object]
-	i := sort.Search(len(vs), func(i int) bool { return !vs[i].TS.Less(ts) })
-	if i < len(vs) && vs[i].TS == ts {
-		vs[i].Val = val.Clone()
-		st.objs[object] = vs
+	c, found := st.objs[object]
+	if !found || !ts.Less(c.head.TS) {
+		st.installMonotone(object, c, found, ts, val)
 		return
 	}
-	vs = append(vs, Version{})
-	copy(vs[i+1:], vs[i:])
-	vs[i] = Version{TS: ts, Val: val.Clone()}
-	st.objs[object] = vs
+	i := sort.Search(len(c.below), func(i int) bool { return !c.below[i].TS.Less(ts) })
+	if i < len(c.below) && c.below[i].TS == ts {
+		c.below[i].Val = val.Clone()
+		return
+	}
+	c.below = append(c.below, Version{})
+	copy(c.below[i+1:], c.below[i:])
+	c.below[i] = Version{TS: ts, Val: val.Clone()}
+	st.objs[object] = c
 }
 
 // InstallMonotone records the latest applied value for the object.  If
@@ -290,108 +212,130 @@ func (m *MVStore) Install(object string, ts clock.Timestamp, val op.Value) {
 // so the chain head always holds the replica's latest applied state and
 // every version value is a real past state of the replica.  Snapshot
 // reads depend on both properties.
-func (m *MVStore) InstallMonotone(object string, ts clock.Timestamp, val op.Value) {
-	st := m.stripe(object)
+func (s *Store) InstallMonotone(object string, ts clock.Timestamp, val op.Value) {
+	st := s.stripe(object)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	vs := st.objs[object]
-	if n := len(vs); n > 0 && !vs[n-1].TS.Less(ts) {
-		vs[n-1].Val = val.Clone()
-		st.objs[object] = vs
-		return
+	c, found := st.objs[object]
+	st.installMonotone(object, c, found, ts, val)
+}
+
+// installMonotone is InstallMonotone's rule on the object's chain c
+// (found: the object has one); the caller holds st.mu.  The installed
+// value is a clone, so a new version never shares a list backing array
+// with the version below it.
+func (st *chainStripe) installMonotone(object string, c chain, found bool, ts clock.Timestamp, val op.Value) {
+	v := Version{TS: ts, Val: val.Clone()}
+	switch {
+	case !found:
+		c.head = v
+	case !c.head.TS.Less(ts):
+		c.head.Val = v.Val
+	default:
+		c.below = append(c.below, c.head)
+		c.head = v
 	}
-	st.objs[object] = append(vs, Version{TS: ts, Val: val.Clone()})
+	st.objs[object] = c
 }
 
 // Delete removes the version with the given timestamp, if present, and
 // reports whether it did.  This is the other compensation mechanism of
-// §4.2 ("deleting the version").
-func (m *MVStore) Delete(object string, ts clock.Timestamp) bool {
-	st := m.stripe(object)
+// §4.2 ("deleting the version").  An object whose last version goes
+// stops existing.
+func (s *Store) Delete(object string, ts clock.Timestamp) bool {
+	st := s.stripe(object)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	vs := st.objs[object]
-	for i, v := range vs {
-		if v.TS == ts {
-			st.objs[object] = append(vs[:i], vs[i+1:]...)
-			return true
+	c, found := st.objs[object]
+	switch {
+	case !found:
+		return false
+	case c.head.TS == ts && len(c.below) == 0:
+		delete(st.objs, object)
+		return true
+	case c.head.TS == ts:
+		c.head = c.below[len(c.below)-1]
+		c.below = c.below[:len(c.below)-1]
+	default:
+		i := sort.Search(len(c.below), func(i int) bool { return !c.below[i].TS.Less(ts) })
+		if i == len(c.below) || c.below[i].TS != ts {
+			return false
 		}
+		c.below = append(c.below[:i], c.below[i+1:]...)
 	}
-	return false
+	st.objs[object] = c
+	return true
 }
 
 // SetVTNC advances the visible transaction number counter.  The VTNC
 // never moves backwards; attempts to lower it are ignored.
-func (m *MVStore) SetVTNC(ts clock.Timestamp) {
-	m.vtncMu.Lock()
-	defer m.vtncMu.Unlock()
-	if m.vtnc.Less(ts) {
-		m.vtnc = ts
+func (s *Store) SetVTNC(ts clock.Timestamp) {
+	s.vtncMu.Lock()
+	defer s.vtncMu.Unlock()
+	if s.vtnc.Less(ts) {
+		s.vtnc = ts
 	}
 }
 
 // VTNC returns the current visible transaction number counter.
-func (m *MVStore) VTNC() clock.Timestamp {
-	m.vtncMu.RLock()
-	defer m.vtncMu.RUnlock()
-	return m.vtnc
+func (s *Store) VTNC() clock.Timestamp {
+	s.vtncMu.RLock()
+	defer s.vtncMu.RUnlock()
+	return s.vtnc
 }
 
 // ReadVisible returns the newest version at or below the VTNC.  ok is
 // false if the object has no such version.  Reads through ReadVisible are
 // serializable (§3.3: the VTNC "produces SR queries").
-func (m *MVStore) ReadVisible(object string) (Version, bool) {
-	vtnc := m.VTNC()
-	st := m.stripe(object)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return latestAtOrBelow(st.objs[object], vtnc)
+func (s *Store) ReadVisible(object string) (Version, bool) {
+	return s.ReadAt(object, s.VTNC())
 }
 
-// ReadAt returns the newest version at or below the given timestamp.
-func (m *MVStore) ReadAt(object string, ts clock.Timestamp) (Version, bool) {
-	st := m.stripe(object)
+// ReadAt returns the newest version at or below the given timestamp;
+// ReadAt(object, clock.Latest) is the chain head.
+func (s *Store) ReadAt(object string, ts clock.Timestamp) (Version, bool) {
+	st := s.stripe(object)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return latestAtOrBelow(st.objs[object], ts)
+	c, found := st.objs[object]
+	if !found {
+		return Version{}, false
+	}
+	v, ok := c.at(ts)
+	v.Val = v.Val.Clone()
+	return v, ok
 }
 
 // ReadLatest returns the newest version of the object regardless of the
 // VTNC, along with beyond=true when that version is newer than the VTNC —
 // i.e. when reading it would cost the query one unit of inconsistency.
-func (m *MVStore) ReadLatest(object string) (v Version, beyond, ok bool) {
-	vtnc := m.VTNC()
-	st := m.stripe(object)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	vs := st.objs[object]
-	if len(vs) == 0 {
-		return Version{}, false, false
-	}
-	v = vs[len(vs)-1]
-	v.Val = v.Val.Clone()
-	return v, vtnc.Less(v.TS), true
+func (s *Store) ReadLatest(object string) (v Version, beyond, ok bool) {
+	v, ok = s.ReadAt(object, clock.Latest)
+	return v, ok && s.VTNC().Less(v.TS), ok
 }
 
 // Versions returns a copy of the object's full version chain, oldest
 // first.
-func (m *MVStore) Versions(object string) []Version {
-	st := m.stripe(object)
+func (s *Store) Versions(object string) []Version {
+	st := s.stripe(object)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	vs := st.objs[object]
-	out := make([]Version, len(vs))
-	for i, v := range vs {
-		out[i] = Version{TS: v.TS, Val: v.Val.Clone()}
+	c, found := st.objs[object]
+	if !found {
+		return []Version{}
 	}
-	return out
+	out := make([]Version, 0, len(c.below)+1)
+	for _, v := range c.below {
+		out = append(out, Version{TS: v.TS, Val: v.Val.Clone()})
+	}
+	return append(out, Version{TS: c.head.TS, Val: c.head.Val.Clone()})
 }
 
 // Objects returns the names of all objects with at least one version, in
 // sorted order.
-func (m *MVStore) Objects() []string {
+func (s *Store) Objects() []string {
 	var out []string
-	m.forEachStripe(func(st *mvStripe) {
+	s.forEachStripe(func(st *chainStripe) {
 		st.mu.RLock()
 		for k := range st.objs {
 			out = append(out, k)
@@ -402,87 +346,79 @@ func (m *MVStore) Objects() []string {
 	return out
 }
 
+// Snapshot returns a deep copy of every object's current value (its
+// chain head).
+func (s *Store) Snapshot() map[string]op.Value {
+	out := make(map[string]op.Value)
+	s.forEachStripe(func(st *chainStripe) {
+		st.mu.RLock()
+		for k, c := range st.objs {
+			out[k] = c.head.Val.Clone()
+		}
+		st.mu.RUnlock()
+	})
+	return out
+}
+
 // Pin registers a snapshot reader at the timestamp and returns a handle
 // the reader releases with Unpin when its read completes.  While a pin
 // at ts is live, GC never discards the version chain state a ReadAt(ts)
 // needs: the effective GC horizon is clamped to the oldest live pin.
-func (m *MVStore) Pin(ts clock.Timestamp) uint64 {
-	m.pinMu.Lock()
-	defer m.pinMu.Unlock()
-	m.nextPin++
-	h := m.nextPin
-	m.pins[h] = ts
+func (s *Store) Pin(ts clock.Timestamp) uint64 {
+	s.pinMu.Lock()
+	defer s.pinMu.Unlock()
+	s.nextPin++
+	h := s.nextPin
+	s.pins[h] = ts
 	return h
 }
 
 // Unpin releases a snapshot pin.  Unknown handles are ignored (Unpin is
 // idempotent).
-func (m *MVStore) Unpin(h uint64) {
-	m.pinMu.Lock()
-	defer m.pinMu.Unlock()
-	delete(m.pins, h)
+func (s *Store) Unpin(h uint64) {
+	s.pinMu.Lock()
+	defer s.pinMu.Unlock()
+	delete(s.pins, h)
 }
 
 // Pins reports the number of live snapshot pins.
-func (m *MVStore) Pins() int {
-	m.pinMu.Lock()
-	defer m.pinMu.Unlock()
-	return len(m.pins)
-}
-
-// minPin returns the oldest live pin timestamp, ok=false if none.
-func (m *MVStore) minPin() (clock.Timestamp, bool) {
-	m.pinMu.Lock()
-	defer m.pinMu.Unlock()
-	var min clock.Timestamp
-	found := false
-	for _, ts := range m.pins {
-		if !found || ts.Less(min) {
-			min, found = ts, true
-		}
-	}
-	return min, found
+func (s *Store) Pins() int {
+	s.pinMu.Lock()
+	defer s.pinMu.Unlock()
+	return len(s.pins)
 }
 
 // GC discards all versions strictly older than the newest version at or
 // below the horizon, per object.  The newest version ≤ horizon must be
 // kept because it remains readable.  Live snapshot pins clamp the
 // horizon: a pinned reader at an older timestamp keeps every version it
-// could observe.  It returns the number of versions collected.
-func (m *MVStore) GC(horizon clock.Timestamp) int {
-	if pin, ok := m.minPin(); ok && pin.Less(horizon) {
-		horizon = pin
+// could observe.  GC holds the pin table for its whole run, so a Pin
+// taken meanwhile waits for it instead of going unseen by a collection
+// already in flight.  It returns the number of versions collected.
+func (s *Store) GC(horizon clock.Timestamp) int {
+	s.pinMu.Lock()
+	defer s.pinMu.Unlock()
+	for _, pin := range s.pins {
+		if pin.Less(horizon) {
+			horizon = pin
+		}
 	}
 	var n int
-	m.forEachStripe(func(st *mvStripe) {
+	s.forEachStripe(func(st *chainStripe) {
 		st.mu.Lock()
-		for obj, vs := range st.objs {
-			// Index of newest version ≤ horizon.
-			keep := -1
-			for i, v := range vs {
-				if !horizon.Less(v.TS) {
-					keep = i
-				} else {
-					break
-				}
+		for obj, c := range st.objs {
+			// Keep the newest version ≤ horizon and everything above it.
+			keep := len(c.below)
+			if horizon.Less(c.head.TS) {
+				keep = sort.Search(len(c.below), func(i int) bool { return horizon.Less(c.below[i].TS) }) - 1
 			}
 			if keep > 0 {
 				n += keep
-				st.objs[obj] = append([]Version(nil), vs[keep:]...)
+				c.below = append([]Version(nil), c.below[keep:]...)
+				st.objs[obj] = c
 			}
 		}
 		st.mu.Unlock()
 	})
 	return n
-}
-
-func latestAtOrBelow(vs []Version, ts clock.Timestamp) (Version, bool) {
-	// Versions are sorted ascending; find the last with TS <= ts.
-	i := sort.Search(len(vs), func(i int) bool { return ts.Less(vs[i].TS) })
-	if i == 0 {
-		return Version{}, false
-	}
-	v := vs[i-1]
-	v.Val = v.Val.Clone()
-	return v, true
 }

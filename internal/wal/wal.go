@@ -7,10 +7,10 @@
 // assumes each site is capable of maintaining local consistency" (§2.2).
 // This package is that local capability: every applied MSet is appended
 // (one record on the shared queue.Log holding the MSet's et encoding,
-// fsynced) before the apply is acknowledged, and on restart
-// RebuildVersioned rebuilds the site's store by re-applying the log.  Together with the journal-backed
-// inbound queues of internal/queue, a crashed site recovers to exactly
-// its pre-crash state and resumes draining its queue.
+// fsynced) before the apply is acknowledged, and on restart Rebuild
+// rebuilds the site's store by re-applying the log.  Together with the
+// journal-backed inbound queues of internal/queue, a crashed site
+// recovers to exactly its pre-crash state and resumes draining its queue.
 package wal
 
 import (
@@ -125,24 +125,20 @@ func (w *WAL) AppendBatch(ms []et.MSet) error {
 // Close releases the log file.  The log can be reopened with Open.
 func (w *WAL) Close() error { return w.log.Close() }
 
-// RebuildVersioned replays recovered MSets into a fresh store,
-// re-applying their operations in logged (i.e. original apply) order.
-// The post-apply value of every updated object is also installed in the
-// multi-version side store at the record's timestamp, so snapshot reads
-// at pre-crash timestamps survive recovery; mv may be nil.  It returns
-// the set of MSet identities already applied, which Receive-side dedup
-// needs so redelivered MSets are not applied twice.
-func RebuildVersioned(store *storage.Store, mv *storage.MVStore, records []et.MSet) map[et.ID]bool {
+// Rebuild replays recovered MSets into a fresh store, re-applying their
+// operations in logged (i.e. original apply) order at each record's
+// timestamp, so snapshot reads at pre-crash timestamps survive recovery.
+// Timestamped blind writes replay under the Thomas write rule.  It
+// returns the set of MSet identities already applied, which Receive-side
+// dedup needs so redelivered MSets are not applied twice.
+func Rebuild(store *storage.Store, records []et.MSet) map[et.ID]bool {
 	applied := make(map[et.ID]bool, len(records))
 	for _, m := range records {
 		for _, o := range m.Ops {
 			if o.Kind == op.Write && !o.TS.IsZero() {
-				store.ApplyTimestamped(o)
+				store.InstallNewer(o.Object, o.TS, op.NumValue(o.Arg))
 			} else {
-				store.Apply(o)
-			}
-			if mv != nil && o.Kind.IsUpdate() {
-				mv.InstallMonotone(o.Object, m.TS, store.Get(o.Object))
+				store.ApplyAt(o, m.TS)
 			}
 		}
 		applied[m.ET] = true

@@ -177,7 +177,7 @@ func TestRebuild(t *testing.T) {
 		mset(4, op.UAppendOp("set", "e")),
 	}
 	store := storage.NewStore()
-	applied := RebuildVersioned(store, nil, records)
+	applied := Rebuild(store, records)
 	if got := store.Get("x"); !got.Equal(op.NumValue(30)) {
 		t.Errorf("x = %v, want 30", got)
 	}
@@ -198,7 +198,7 @@ func TestRebuildRespectsThomasRule(t *testing.T) {
 	w2 := op.WriteOp("x", 2)
 	w2.TS = clock.Timestamp{Time: 5, Site: 1} // stale, ignored on rebuild too
 	store := storage.NewStore()
-	RebuildVersioned(store, nil, []et.MSet{mset(1, w1), mset(2, w2)})
+	Rebuild(store, []et.MSet{mset(1, w1), mset(2, w2)})
 	if got := store.Get("x"); !got.Equal(op.NumValue(1)) {
 		t.Errorf("x = %v, want 1 (stale timestamped write ignored)", got)
 	}

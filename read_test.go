@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"esr/internal/clock"
 )
 
 // readMk returns an update op suited to the method: RITU variants need
@@ -36,14 +34,13 @@ func TestReadLevelsEquivalence(t *testing.T) {
 			if err := c.Quiesce(10 * time.Second); err != nil {
 				t.Fatal(err)
 			}
+			if ok, obj := c.Converged(); !ok {
+				t.Errorf("diverged on %q", obj)
+			}
 			for site := 1; site <= 3; site++ {
 				want := c.Value(site, "x")
-				if m == RITUMultiVersion {
-					// ritu-mv state lives only in the version chains;
-					// the chain head is the converged last-writer value.
-					if v, _, ok := c.Engine().Cluster().Site(clock.SiteID(site)).MV.ReadLatest("x"); ok {
-						want = v.Val
-					}
+				if want.Num == 0 {
+					t.Errorf("site %d: x = %v after quiescence, want a written value", site, want)
 				}
 				for _, lv := range []Level{LevelEventual, LevelSession, LevelBounded, LevelStrong} {
 					res, err := c.ReadLevel(site, lv, "x")
@@ -201,7 +198,7 @@ func TestReadSessionLevel(t *testing.T) {
 // TestReadSnapshotSurvivesGC checks the pin contract end to end at the
 // facade: version GC with the full history prunable still leaves every
 // level returning the canonical value, and a pinned long-running reader
-// is never pruned from under (the MVStore-level test covers the race;
+// is never pruned from under (the store-level test covers the race;
 // this covers the GCVersions horizon wiring).
 func TestReadSnapshotSurvivesGC(t *testing.T) {
 	c := open(t, Config{Replicas: 3, Method: RITUMultiVersion, Seed: 26})

@@ -127,7 +127,9 @@ for method in "${METHODS[@]}"; do
     first=0
     pids=()
     endpoints=""
-    mbase=$((21000 + RANDOM % 20000))
+    # Metrics ports stay below the kernel's ephemeral range (32768 and
+    # up), which the nodes' own outgoing connections draw from.
+    mbase=$((21000 + RANDOM % (32768 - 21000 - SITES)))
     for i in $(seq 1 "$SITES"); do
         extra=()
         if [ "$tracing" = "1" ]; then
