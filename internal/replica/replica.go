@@ -121,21 +121,24 @@ type Site struct {
 
 	workers int // apply worker pool size; set before Start
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	pending   map[string]int               // object -> queued-but-unapplied update ETs touching it
-	epoch     map[string]uint64            // object -> update ETs applied here touching it
-	frontier  []clock.Timestamp            // per-shard max applied MSet timestamp
-	pendingTS []map[uint64]clock.Timestamp // per-shard msgID -> TS of accepted-unapplied MSets
-	pendingAt map[uint64]time.Time         // msgID -> wall-clock accept time (staleness age)
-	stats     Stats
-	seen      map[uint64]bool    // message IDs accepted (mirrors queue dedup)
-	decoded   map[uint64]et.MSet // decode-once cache, evicted on ack
-	heldOnce  map[uint64]bool    // messages whose first hold was traced
-	ackRing   []uint64           // ring of acked IDs still in seen
-	ackHead   int                // ring index of the oldest acked ID
-	ackLen    int                // live entries in the ring
-	retention int                // how many acked IDs stay in seen
+	mu         sync.Mutex
+	cond       *sync.Cond
+	pending    map[string]int               // object -> queued-but-unapplied update ETs touching it (no zero entries)
+	epoch      map[string]uint64            // object -> update ETs applied here touching it
+	frontier   []clock.Timestamp            // per-shard max applied MSet timestamp
+	pendingTS  []map[uint64]clock.Timestamp // per-shard msgID -> TS of accepted-unapplied MSets
+	tsHeap     [][]pendEntry                // per-shard min-heap over pendingTS, dead entries dropped lazily
+	pendingAt  map[uint64]time.Time         // msgID -> wall-clock accept time (staleness age)
+	accepts    []acceptEntry                // pendingAt in accept order, dead entries dropped lazily
+	acceptHead int                          // accepts[acceptHead:] are the entries still in play
+	stats      Stats
+	seen       map[uint64]bool    // message IDs accepted (mirrors queue dedup)
+	decoded    map[uint64]et.MSet // decode-once cache, evicted on ack
+	heldOnce   map[uint64]bool    // messages whose first hold was traced
+	ackRing    []uint64           // ring of acked IDs still in seen
+	ackHead    int                // ring index of the oldest acked ID
+	ackLen     int                // live entries in the ring
+	retention  int                // how many acked IDs stay in seen
 
 	kicks []chan struct{} // one processor waker per shard
 	done  chan struct{}
@@ -171,6 +174,7 @@ func NewShardedSite(id clock.SiteID, ins []queue.Queue) *Site {
 		epoch:     make(map[string]uint64),
 		frontier:  make([]clock.Timestamp, len(ins)),
 		pendingTS: make([]map[uint64]clock.Timestamp, len(ins)),
+		tsHeap:    make([][]pendEntry, len(ins)),
 		pendingAt: make(map[uint64]time.Time),
 		seen:      make(map[uint64]bool),
 		decoded:   make(map[uint64]et.MSet),
@@ -356,16 +360,133 @@ func (s *Site) indexLocked(msg queue.Message, m et.MSet, sh int) {
 	s.decoded[msg.ID] = m
 	s.stats.Received++
 	s.Metrics.Received.Inc()
+	s.acceptLocked(msg.ID, m, sh)
+	if s.Trace != nil {
+		s.Trace.RecordMSetf(trace.Receive, int(s.ID), m.ET.String(), msg.ID,
+			"queue=%d", s.ins[sh].Len())
+	}
+}
+
+// acceptLocked enters one accepted message into the indexes SAFETIME,
+// Staleness and WaitDrained read: its objects' pending counts, its
+// timestamp in the shard's SAFETIME heap and its accept time at the tail
+// of the staleness FIFO.  indexLocked and Reload share it.  Caller holds
+// s.mu.
+func (s *Site) acceptLocked(id uint64, m et.MSet, sh int) {
 	for _, obj := range op.Objects(m.Ops, false) {
 		s.pending[obj]++
 	}
-	s.pendingTS[sh][msg.ID] = m.TS
-	s.pendingAt[msg.ID] = time.Now()
+	if ts, ok := s.pendingTS[sh][id]; !ok || ts != m.TS {
+		s.pendingTS[sh][id] = m.TS
+		s.tsHeap[sh] = pushTS(s.tsHeap[sh], pendEntry{ts: m.TS, id: id})
+	}
+	// Accept times are stamped here, under s.mu, in index order, so the
+	// FIFO stays sorted by time and its oldest live entry is its head.
+	now := time.Now()
+	_, again := s.pendingAt[id]
+	s.pendingAt[id] = now
+	s.accepts = append(s.accepts, acceptEntry{at: now, id: id})
+	s.compactLocked(sh)
+	if again {
+		// Re-accepting a message that never retired restamps its age,
+		// which can lower Staleness: tell the gates.
+		s.cond.Broadcast()
+	}
 	// Lamport receive rule: fold the MSet's timestamp into the local
 	// clock so later local events order after it.
 	s.Clock.Observe(m.TS)
-	s.Trace.RecordMSetf(trace.Receive, int(s.ID), m.ET.String(), msg.ID,
-		"queue=%d", s.ins[sh].Len())
+}
+
+// pendEntry is one accepted message in a shard's SAFETIME heap.  It is
+// live while pendingTS still maps its id to its ts.
+type pendEntry struct {
+	ts clock.Timestamp
+	id uint64
+}
+
+// acceptEntry is one accept in the staleness FIFO.  It is live while
+// pendingAt still maps its id to its time: an apply or a later re-accept
+// of the same id leaves it dead.
+type acceptEntry struct {
+	at time.Time
+	id uint64
+}
+
+// compactSlack is how many dead entries the SAFETIME heaps and the
+// staleness FIFO may hold beyond their live ones before compactLocked
+// rebuilds them.
+const compactSlack = 16
+
+// compactLocked rebuilds shard sh's SAFETIME heap and the staleness FIFO
+// once their dead entries outnumber the live ones (plus compactSlack).
+// Dead entries otherwise leave only from the top, so one never-applied
+// message pinning the minimum would keep every later dead entry forever.
+// A rebuild costs its structure's length, and at least half of that is
+// dead entries, each left by one apply or re-accept: amortised O(1).
+// Caller holds s.mu.
+func (s *Site) compactLocked(sh int) {
+	if live := s.pendingTS[sh]; len(s.tsHeap[sh]) > 2*len(live)+compactSlack {
+		// From the map, not the heap: a message applied and then accepted
+		// again has two heap entries with one (id, ts), and both look live.
+		h := s.tsHeap[sh][:0]
+		for id, ts := range live {
+			h = append(h, pendEntry{ts: ts, id: id})
+		}
+		for i := len(h)/2 - 1; i >= 0; i-- {
+			siftDownTS(h, i)
+		}
+		s.tsHeap[sh] = h
+	}
+	if len(s.accepts)-s.acceptHead > 2*len(s.pendingAt)+compactSlack {
+		kept := s.accepts[:0]
+		for _, e := range s.accepts[s.acceptHead:] {
+			if at, ok := s.pendingAt[e.id]; ok && at == e.at {
+				kept = append(kept, e)
+			}
+		}
+		s.accepts, s.acceptHead = kept, 0
+	}
+}
+
+// pushTS adds e to the min-heap h (ordered by ts).
+func pushTS(h []pendEntry, e pendEntry) []pendEntry {
+	h = append(h, e)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].ts.Less(h[p].ts) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	return h
+}
+
+// popTS removes the top of the min-heap h.
+func popTS(h []pendEntry) []pendEntry {
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	siftDownTS(h, 0)
+	return h
+}
+
+// siftDownTS restores the heap order below index i.
+func siftDownTS(h []pendEntry, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].ts.Less(h[c].ts) {
+			c = r
+		}
+		if !h[c].ts.Less(h[i].ts) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Kick wakes every shard processor.
@@ -437,20 +558,41 @@ func (s *Site) Stats() Stats {
 // takes when its inconsistency counter is exhausted — it waits until it
 // is effectively "running in the global order" (§3.1).
 func (s *Site) WaitDrained(object string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.pending[object] > 0 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("site %v: object %q still has %d pending updates after %v",
-				s.ID, object, s.pending[object], timeout)
-		}
-		// cond.Wait has no deadline; poll with a helper waker.
-		waker := time.AfterFunc(time.Millisecond, s.cond.Broadcast)
-		s.cond.Wait()
-		waker.Stop()
+	if !s.waitLocked(timeout, func() bool { return s.pending[object] == 0 }) {
+		return fmt.Errorf("site %v: object %q still has %d pending updates after %v",
+			s.ID, object, s.pending[object], timeout)
 	}
 	return nil
+}
+
+// waitLocked parks on s.cond until done reports true or timeout elapses,
+// and reports whether done held.  applied() broadcasts whenever it
+// raises SAFETIME, lowers a pending count or retires an accept, so the
+// only other wake a gate needs is its deadline: one timer per wait.
+// Caller holds s.mu.
+func (s *Site) waitLocked(timeout time.Duration, done func() bool) bool {
+	if done() {
+		return true
+	}
+	expired := false
+	// The timer takes s.mu before it broadcasts, so it cannot fire in
+	// the gap between a waiter's check and its cond.Wait.
+	t := time.AfterFunc(timeout, func() {
+		s.mu.Lock()
+		expired = true
+		s.mu.Unlock()
+		s.cond.Broadcast()
+	})
+	defer t.Stop()
+	for !done() {
+		if expired {
+			return false
+		}
+		s.cond.Wait()
+	}
+	return true
 }
 
 // safeCeiling is the site tie-break used when stepping a timestamp just
@@ -471,15 +613,23 @@ func prevTS(ts clock.Timestamp) clock.Timestamp {
 // safeTimeLocked computes the SAFETIME watermark: the largest timestamp
 // T such that every update MSet the site has accepted with TS ≤ T has
 // been applied.  Snapshot reads at or below it are never torn (pending
-// counts only drop after the ApplyFunc returns).  Caller holds s.mu.
+// counts only drop after the ApplyFunc returns).  The minimum pending
+// timestamp is the top of each shard's heap once dead tops are popped,
+// so the cost is amortised O(log n) in the shard's pending MSets.
+// Caller holds s.mu.
 func (s *Site) safeTimeLocked() clock.Timestamp {
 	var minPending clock.Timestamp
 	havePending := false
-	for _, byID := range s.pendingTS {
-		for _, ts := range byID {
-			if !havePending || ts.Less(minPending) {
-				minPending, havePending = ts, true
+	for sh, h := range s.tsHeap {
+		for len(h) > 0 {
+			if ts, ok := s.pendingTS[sh][h[0].id]; ok && ts == h[0].ts {
+				break
 			}
+			h = popTS(h)
+		}
+		s.tsHeap[sh] = h
+		if len(h) > 0 && (!havePending || h[0].ts.Less(minPending)) {
+			minPending, havePending = h[0].ts, true
 		}
 	}
 	if havePending {
@@ -528,16 +678,31 @@ func (s *Site) Watermark() clock.Timestamp {
 func (s *Site) Staleness() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var oldest time.Time
-	for _, at := range s.pendingAt {
-		if oldest.IsZero() || at.Before(oldest) {
-			oldest = at
-		}
-	}
-	if oldest.IsZero() {
+	return s.stalenessLocked()
+}
+
+// stalenessLocked is Staleness.  Caller holds s.mu.
+func (s *Site) stalenessLocked() time.Duration {
+	oldest, ok := s.oldestAcceptLocked()
+	if !ok {
 		return 0
 	}
 	return time.Since(oldest)
+}
+
+// oldestAcceptLocked returns the accept time of the oldest
+// accepted-unapplied message: the head of the staleness FIFO once dead
+// heads are dropped, amortised O(1).  Caller holds s.mu.
+func (s *Site) oldestAcceptLocked() (time.Time, bool) {
+	for s.acceptHead < len(s.accepts) {
+		e := s.accepts[s.acceptHead]
+		if at, ok := s.pendingAt[e.id]; ok && at == e.at {
+			return at, true
+		}
+		s.acceptHead++
+	}
+	s.accepts, s.acceptHead = s.accepts[:0], 0
+	return time.Time{}, false
 }
 
 // WaitSafe parks until the SAFETIME watermark reaches ts (the delayed-read
@@ -546,17 +711,11 @@ func (s *Site) Staleness() time.Duration {
 // error with the watermark still short of ts.
 func (s *Site) WaitSafe(ts clock.Timestamp, timeout time.Duration) (time.Duration, error) {
 	start := time.Now()
-	deadline := start.Add(timeout)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.safeTimeLocked().Less(ts) {
-		if time.Now().After(deadline) {
-			return time.Since(start), fmt.Errorf("site %v: SAFETIME %v still below %v after %v",
-				s.ID, s.safeTimeLocked(), ts, timeout)
-		}
-		waker := time.AfterFunc(time.Millisecond, s.cond.Broadcast)
-		s.cond.Wait()
-		waker.Stop()
+	if !s.waitLocked(timeout, func() bool { return !s.safeTimeLocked().Less(ts) }) {
+		return time.Since(start), fmt.Errorf("site %v: SAFETIME %v still below %v after %v",
+			s.ID, s.safeTimeLocked(), ts, timeout)
 	}
 	return time.Since(start), nil
 }
@@ -564,21 +723,19 @@ func (s *Site) WaitSafe(ts clock.Timestamp, timeout time.Duration) (time.Duratio
 // WaitStaleness parks until the site's wall-clock staleness is at most
 // bound, or the timeout elapses (returning an error).  It returns how
 // long it waited.
+//
+// Staleness only grows while the oldest accept waits, so only applied()
+// retiring it (or a re-accept restamping it) can satisfy the gate, and
+// both broadcast.
 func (s *Site) WaitStaleness(bound, timeout time.Duration) (time.Duration, error) {
 	start := time.Now()
-	for {
-		st := s.Staleness()
-		if st <= bound {
-			return time.Since(start), nil
-		}
-		if time.Since(start) > timeout {
-			return time.Since(start), fmt.Errorf("site %v: staleness %v still above %v after %v",
-				s.ID, st, bound, timeout)
-		}
-		// The oldest pending message ages out either by being applied
-		// (cond-signalled) or by time passing; a short sleep covers both.
-		time.Sleep(time.Millisecond)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.waitLocked(timeout, func() bool { return s.stalenessLocked() <= bound }) {
+		return time.Since(start), fmt.Errorf("site %v: staleness %v still above %v after %v",
+			s.ID, s.stalenessLocked(), bound, timeout)
 	}
+	return time.Since(start), nil
 }
 
 func (s *Site) run(sh int) {
@@ -634,37 +791,39 @@ func (s *Site) pass(sh int) bool {
 	}
 	var acks []uint64
 	items := make([]applyItem, 0, len(msgs))
-loop:
+	// One lock acquisition reads the decode cache for the whole window.
+	var misses []queue.Message
+	s.mu.Lock()
 	for _, msg := range msgs {
-		select {
-		case <-s.done:
-			break loop
-		default:
+		if m, ok := s.decoded[msg.ID]; ok {
+			items = append(items, applyItem{msg: msg, m: m})
+		} else {
+			misses = append(misses, msg)
+		}
+	}
+	s.mu.Unlock()
+	for _, msg := range misses {
+		// Cache miss (queue recovered from a journal after restart):
+		// decode and repopulate.
+		m, err := et.DecodeMSet(msg.Payload)
+		if err != nil {
+			// Malformed payloads are dropped (they passed Receive,
+			// so this indicates corruption; keeping them would wedge
+			// the queue).
+			acks = append(acks, msg.ID)
+			s.bump(func(st *Stats) { st.Errors++ })
+			s.Metrics.Errors.Inc()
+			continue
 		}
 		s.mu.Lock()
-		m, ok := s.decoded[msg.ID]
+		s.decoded[msg.ID] = m
 		s.mu.Unlock()
-		if !ok {
-			// Cache miss (queue recovered from a journal after restart):
-			// decode and repopulate.
-			var err error
-			m, err = et.DecodeMSet(msg.Payload)
-			if err != nil {
-				// Malformed payloads are dropped (they passed Receive,
-				// so this indicates corruption; keeping them would wedge
-				// the queue).
-				acks = append(acks, msg.ID)
-				s.bump(func(st *Stats) { st.Errors++ })
-				s.Metrics.Errors.Inc()
-				continue
-			}
-			s.mu.Lock()
-			s.decoded[msg.ID] = m
-			s.mu.Unlock()
-		}
+		items = append(items, applyItem{msg: msg, m: m})
+	}
+	for i := range items {
 		// A read names its object like an update does, so it fences
 		// scheduling like one.
-		items = append(items, applyItem{msg: msg, m: m, objs: op.Objects(m.Ops, true)})
+		items[i].objs = op.Objects(items[i].m.Ops, true)
 	}
 	// The sorted window: ORDUP's global execution order first (Seq is 0
 	// for the other methods), then logical timestamps.  Parallelism only
@@ -787,7 +946,9 @@ func (s *Site) applyOne(it applyItem, hist *metrics.Histogram) (ack, ok bool) {
 		// A span, not an instant: the apply work itself is one leg of
 		// the MSet's timeline, distinct from the receive→apply queueing
 		// gap in front of it.
-		s.Trace.RecordSpan(trace.Apply, int(s.ID), it.m.ET.String(), it.msg.ID, start, "")
+		if s.Trace != nil {
+			s.Trace.RecordSpan(trace.Apply, int(s.ID), it.m.ET.String(), it.msg.ID, start, "")
+		}
 		s.mu.Lock()
 		delete(s.decoded, it.msg.ID)
 		delete(s.heldOnce, it.msg.ID)
@@ -799,7 +960,9 @@ func (s *Site) applyOne(it applyItem, hist *metrics.Histogram) (ack, ok bool) {
 		// applied work.
 		s.applied(it.m, it.msg.ID)
 		s.Lag.Applied(it.msg.ID, int(s.ID))
-		s.Trace.RecordMSet(trace.Apply, int(s.ID), it.m.ET.String(), it.msg.ID, "stale")
+		if s.Trace != nil {
+			s.Trace.RecordMSet(trace.Apply, int(s.ID), it.m.ET.String(), it.msg.ID, "stale")
+		}
 		s.mu.Lock()
 		delete(s.decoded, it.msg.ID)
 		delete(s.heldOnce, it.msg.ID)
@@ -812,7 +975,7 @@ func (s *Site) applyOne(it applyItem, hist *metrics.Histogram) (ack, ok bool) {
 		first := !s.heldOnce[it.msg.ID]
 		s.heldOnce[it.msg.ID] = true
 		s.mu.Unlock()
-		if first {
+		if first && s.Trace != nil {
 			s.Trace.RecordMSetf(trace.Hold, int(s.ID), it.m.ET.String(), it.msg.ID,
 				"seq=%d", it.m.Seq)
 		}
@@ -931,8 +1094,10 @@ func (s *Site) applied(m et.MSet, msgID uint64) {
 	s.mu.Lock()
 	s.stats.Applied++
 	for _, obj := range op.Objects(m.Ops, false) {
-		if s.pending[obj] > 0 {
-			s.pending[obj]--
+		if n := s.pending[obj]; n > 1 {
+			s.pending[obj] = n - 1
+		} else if n == 1 {
+			delete(s.pending, obj)
 		}
 		s.epoch[obj]++
 	}
@@ -941,6 +1106,7 @@ func (s *Site) applied(m et.MSet, msgID uint64) {
 	}
 	delete(s.pendingTS[sh], msgID)
 	delete(s.pendingAt, msgID)
+	s.compactLocked(sh)
 	safe := s.safeTimeLocked()
 	var wm clock.Timestamp
 	for _, f := range s.frontier {
@@ -982,12 +1148,7 @@ func (s *Site) Reload() error {
 			}
 			s.seen[msg.ID] = true
 			s.decoded[msg.ID] = m
-			for _, obj := range op.Objects(m.Ops, false) {
-				s.pending[obj]++
-			}
-			s.pendingTS[sh][msg.ID] = m.TS
-			s.pendingAt[msg.ID] = time.Now()
-			s.Clock.Observe(m.TS)
+			s.acceptLocked(msg.ID, m, sh)
 		}
 	}
 	return nil
